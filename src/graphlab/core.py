@@ -14,6 +14,9 @@ summed once per undirected edge in the implementation.  The operator
 is the associated formal Laplacian; dividing by a vertex measure ``m``
 gives its measure-weighted variant.  Everything here is immutable and
 pure, so shared instances are safe to use concurrently.
+
+Every single-shot linear solve of the package goes through one sparse
+energy matrix and one grounded factorization of it (``GroundedFactor``).
 """
 
 from __future__ import annotations
@@ -24,8 +27,17 @@ from functools import cached_property
 import math
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
+import scipy.sparse.linalg
 
-from .errors import DomainMismatchError, UnknownVertexError, ValidationError
+from .errors import (
+    DomainMismatchError,
+    IllConditionedError,
+    SingularSystemError,
+    UnknownVertexError,
+    ValidationError,
+)
 
 Vertex = Hashable
 
@@ -361,6 +373,158 @@ def quadratic_form_matrix(g: WeightedGraph) -> np.ndarray:
     np.add.at(deg, jj, ww)
     A[np.diag_indices(n)] = deg + g.killing_array
     return A
+
+
+def _energy_block(
+    g: WeightedGraph, keep: np.ndarray, potential: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Principal block of the energy matrix (plus ``potential`` on the
+    diagonal) on the vertices where ``keep`` is true, as compressed arrays
+    (data, indices, indptr).
+
+    The block is symmetric, so the arrays read the same as CSR and CSC.
+    Assembling them directly from the edge arrays costs a fraction of
+    building a sparse matrix and slicing it, which dominates on small graphs.
+    """
+    n = g.size
+    ii, jj, ww = g.edge_arrays
+    # same accumulation order as quadratic_form_matrix, so entries agree bitwise
+    diag = np.bincount(np.concatenate([ii, jj]), np.concatenate([ww, ww]), n)
+    diag = diag + g.killing_array
+    if potential is not None:
+        diag = diag + potential
+    pos = np.cumsum(keep) - 1
+    inner = keep[ii] & keep[jj]
+    span = pos[keep]
+    rows = np.concatenate([pos[ii[inner]], pos[jj[inner]], span])
+    cols = np.concatenate([pos[jj[inner]], pos[ii[inner]], span])
+    vals = np.concatenate([-ww[inner], -ww[inner], diag[keep]])
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(span.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=span.size), out=indptr[1:])
+    return vals[order], cols[order], indptr
+
+
+def energy_matrix(
+    g: WeightedGraph, potential: np.ndarray | None = None
+) -> scipy.sparse.csr_matrix:
+    """Sparse (CSR) form of ``quadratic_form_matrix``, with ``potential``
+    (one entry per vertex, in vertex order) added to the diagonal."""
+    keep = np.ones(g.size, dtype=bool)
+    return scipy.sparse.csr_matrix(_energy_block(g, keep, potential), shape=(g.size,) * 2)
+
+
+class GroundedFactor:
+    """One sparse factorization of the energy matrix, grounded so that it
+    is positive definite.
+
+    Vertices in ``fixed`` carry Dirichlet data: they leave the system and
+    their values enter the right-hand side.  A component of the remaining
+    vertices that carries no diagonal term (killing term or ``potential``)
+    and touches no fixed vertex is *floating*: constants along it cost no
+    energy.  Its lowest-index vertex is grounded at zero, and every solve
+    is shifted to mean zero on it, which is the pseudoinverse solution.
+    What is left is factored once by SuperLU with a fill-reducing
+    symmetric ordering and diagonal pivots.  A pivot that keeps less than
+    machine epsilon of its diagonal entry (or turns nonpositive) means the
+    elimination cancelled every significant digit, and the factor is
+    refused with IllConditionedError instead of returning a wrong answer.
+    """
+
+    def __init__(
+        self,
+        g: WeightedGraph,
+        fixed: Iterable[int] = (),
+        potential: np.ndarray | None = None,
+    ):
+        self.size = n = g.size
+        ii, jj, ww = g.edge_arrays
+        is_fixed = np.zeros(n, dtype=bool)
+        is_fixed[list(fixed)] = True
+        self.fixed = np.flatnonzero(is_fixed)
+        free = np.flatnonzero(~is_fixed)
+        interior = scipy.sparse.csr_matrix(
+            _energy_block(g, ~is_fixed, potential), shape=(free.size,) * 2
+        )
+        # the block is symmetric, so its strong components are its
+        # components, found without building the transpose
+        ncomp, labels = connected_components(interior, connection="strong")
+        #: component label of each non-fixed vertex, -1 on fixed ones
+        self.component = np.full(n, -1)
+        self.component[free] = labels
+        held = g.killing_array > 0
+        if potential is not None:
+            held |= potential > 0
+        held[ii[is_fixed[jj]]] = True
+        held[jj[is_fixed[ii]]] = True
+        anchored = np.bincount(labels, weights=held[free], minlength=ncomp) > 0
+        self.floating = tuple(free[labels == k] for k in np.flatnonzero(~anchored))
+        kept = ~is_fixed
+        kept[[comp[0] for comp in self.floating]] = False
+        self.kept = np.flatnonzero(kept)
+        # edges from a kept vertex to a fixed one move to the right-hand side
+        pos = np.cumsum(kept) - 1
+        out = kept[ii] & is_fixed[jj]
+        into = is_fixed[ii] & kept[jj]
+        self._coupling = (
+            np.concatenate([pos[ii[out]], pos[jj[into]]]),
+            np.concatenate([jj[out], ii[into]]),
+            np.concatenate([ww[out], ww[into]]),
+        )
+        self._lu = None
+        if self.kept.size:
+            K = scipy.sparse.csc_matrix(
+                _energy_block(g, kept, potential), shape=(self.kept.size,) * 2
+            )
+            try:
+                self._lu = scipy.sparse.linalg.splu(
+                    K,
+                    permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                )
+            except RuntimeError as exc:
+                raise SingularSystemError(
+                    f"sparse factorization failed: {exc}"
+                ) from exc
+            # Pr K Pc = L U with diagonal pivots puts row k at perm_c[k].
+            ratio = self._lu.U.diagonal()[self._lu.perm_c] / K.diagonal()
+            worst = int(np.argmin(ratio))
+            if not ratio[worst] >= np.finfo(float).eps:
+                raise IllConditionedError(
+                    "ill-conditioned system: the pivot at vertex "
+                    f"{g.vertices[self.kept[worst]]!r} kept {ratio[worst]:.3g} "
+                    "of its diagonal entry"
+                )
+
+    def solve(
+        self, rhs: np.ndarray | None = None, fixed_values: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Full-length u with A u = rhs on the factored vertices, u equal to
+        ``fixed_values`` (in vertex order) on the fixed ones, and mean zero
+        on every floating component.  Complex data takes one real solve per
+        part."""
+        if np.iscomplexobj(rhs) or np.iscomplexobj(fixed_values):
+            real = self.solve(
+                None if rhs is None else rhs.real,
+                None if fixed_values is None else fixed_values.real,
+            )
+            imag = self.solve(
+                None if rhs is None else rhs.imag,
+                None if fixed_values is None else fixed_values.imag,
+            )
+            return real + 1j * imag
+        u = np.zeros(self.size)
+        b = np.zeros(self.kept.size) if rhs is None else rhs[self.kept]
+        if fixed_values is not None:
+            u[self.fixed] = fixed_values
+            at, source, w = self._coupling
+            b = b + np.bincount(at, w * u[source], self.kept.size)
+        if self._lu is not None:
+            u[self.kept] = self._lu.solve(b)
+        for comp in self.floating:
+            u[comp] -= u[comp].mean()
+        return u
 
 
 def validate_graph(g: WeightedGraph, m: Measure | None = None) -> list[str]:

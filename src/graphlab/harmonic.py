@@ -16,17 +16,17 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
+    GroundedFactor,
     Vertex,
     VertexFunction,
     WeightedGraph,
     energy,
-    quadratic_form_matrix,
+    energy_matrix,
 )
 from .errors import ConsistencyError, SingularSystemError, ValidationError
-from .exhaustion import ConvergenceReport, GraphFamily, induced_subgraph, monitor
+from .exhaustion import ConvergenceReport, GraphFamily, monitor
 from .resistance import collapse_set, resistance_finite
 
 
@@ -56,51 +56,31 @@ class DirichletProblem:
         return tuple(v for v in self.graph.vertices if v not in self.boundary_values)
 
 
-def _check_solvable(p: DirichletProblem) -> None:
-    """Every interior component must touch the boundary or carry killing term."""
-    g = p.graph
-    interior = set(p.interior)
-    if not interior:
-        return
-    sub = induced_subgraph(g, [v for v in g.vertices if v in interior])
-    for comp in sub.components:
-        touches = any(
-            y in p.boundary_values for v in comp for y in g.adjacency[v]
-        )
-        if not touches and all(g.killing[v] == 0.0 for v in comp):
-            raise SingularSystemError(
-                "interior component isolated from the boundary with zero killing "
-                f"term: {sorted(map(str, comp))}"
-            )
-
-
 def solve_dirichlet(p: DirichletProblem) -> VertexFunction:
     """Harmonic extension of the boundary data (one definite solve).
 
     The result agrees with the data on the boundary and annihilates the
-    formal Laplacian at every interior vertex.
+    formal Laplacian at every interior vertex.  Every interior component
+    must touch the boundary or carry killing term.
     """
-    _check_solvable(p)
     g = p.graph
     interior = p.interior
     if not interior:
         return VertexFunction.from_mapping(p.boundary_values)
-    A = quadratic_form_matrix(g)
-    ii = [g.index[v] for v in interior]
-    bb = [g.index[v] for v in g.vertices if v in p.boundary_values]
     bvert = [v for v in g.vertices if v in p.boundary_values]
+    factor = GroundedFactor(g, fixed=[g.index[v] for v in bvert])
+    if factor.floating:
+        raise SingularSystemError(
+            "interior component isolated from the boundary with zero killing "
+            f"term: {sorted(str(g.vertices[i]) for i in factor.floating[0])}"
+        )
     phi = np.array([p.boundary_values[v] for v in bvert])
-    complex_data = np.iscomplexobj(phi) and np.any(phi.imag != 0)
-    if not complex_data:
+    if not (np.iscomplexobj(phi) and np.any(phi.imag != 0)):
         phi = phi.real.astype(float)
-    rhs = -A[np.ix_(ii, bb)] @ phi
-    if complex_data:
-        sol = scipy.linalg.solve(A[np.ix_(ii, ii)], rhs.astype(complex), assume_a="her")
-    else:
-        sol = scipy.linalg.solve(A[np.ix_(ii, ii)], rhs, assume_a="pos")
+    u = factor.solve(fixed_values=phi)
     values: dict[Vertex, complex] = dict(p.boundary_values)
-    for k, v in enumerate(interior):
-        values[v] = sol[k]
+    for v in interior:
+        values[v] = u[g.index[v]]
     return VertexFunction.from_mapping(values)
 
 
@@ -249,19 +229,15 @@ def constant_approximation_defect(
         g = ref.graph
         m = ref.measure
         support = set(ball_n.graph.vertices) - set(ball_n.frontier)
-        A = quadratic_form_matrix(g) + np.diag(m.as_array(g))
-        free = [v for v in g.vertices if v in support]
-        if not free:
+        outside = [g.index[v] for v in g.vertices if v not in support]
+        if len(outside) == g.size:
             values.append(float(m.total))
             continue
-        fi = [g.index[v] for v in free]
-        oi = [g.index[v] for v in g.vertices if v not in support]
-        rhs = -A[np.ix_(fi, oi)] @ np.ones(len(oi))
-        sol = scipy.linalg.solve(A[np.ix_(fi, fi)], rhs, assume_a="pos")
-        w = np.ones(g.size)
-        for k, v in enumerate(free):
-            w[g.index[v]] = sol[k]
-        values.append(float(w @ (A @ w)))
+        mass = m.as_array(g)
+        w = GroundedFactor(g, fixed=outside, potential=mass).solve(
+            fixed_values=np.ones(len(outside))
+        )
+        values.append(float(w @ (energy_matrix(g, mass) @ w)))
     report = monitor(values, tolerance)
     verdict = _classify_limit(report, threshold, "vanishing", "positive")
     return DefectSequence(tuple(levels), tuple(values), report, verdict, threshold)

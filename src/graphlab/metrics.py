@@ -374,11 +374,11 @@ def sample_unit_energy_functions(
     actually approaches the metric rather than stalling on generic noise.
     Requires a connected graph; returns arrays in vertex order.
     """
-    from .core import quadratic_form_matrix
+    from .core import energy_matrix
     from .harmonic import DirichletProblem, solve_dirichlet
 
     n = g.size
-    A = quadratic_form_matrix(g)
+    A = energy_matrix(g)
     verts = list(g.vertices)
     out: list[np.ndarray] = []
     while len(out) < count:
@@ -396,7 +396,7 @@ def sample_unit_energy_functions(
                 vals = {verts[i]: 0.0 for i in chosen[:split]}
                 vals.update({verts[i]: 1.0 for i in chosen[split:]})
             f = solve_dirichlet(DirichletProblem(g, vals)).as_array(g).real
-        e = float(f @ A @ f)
+        e = float(f @ (A @ f))
         if e <= 1e-12:
             continue
         out.append(f / math.sqrt(e))

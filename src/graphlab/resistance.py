@@ -4,10 +4,11 @@ The resistance between two vertices is the largest 1/energy over
 potentials with unit difference at the pair; equivalently the value
 delta' A^+ delta for the energy matrix A and the signed pair indicator
 delta.  Its square root is a metric whose Lipschitz functions are exactly
-the finite-energy functions.  Two independent solver routes are kept
-alive deliberately: a grounded positive-definite solve (production) and a
-dense pseudoinverse (oracle), plus a series-parallel reducer for the
-instances it can collapse.
+the finite-energy functions.  Single pairs are solved by the package's
+one grounded sparse factorization (``core.GroundedFactor``); the dense
+pseudoinverse is kept alive deliberately as an independent oracle, beside
+a series-parallel reducer for the instances it can collapse and a path
+sum for trees.  The all-pairs table still inverts the dense energy matrix.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
+    GroundedFactor,
     Vertex,
     VertexFunction,
     WeightedGraph,
@@ -63,38 +64,29 @@ def _kernel_basis(g: WeightedGraph) -> list[np.ndarray]:
     return basis
 
 
-def _check_finite(g: WeightedGraph, kernel: list[np.ndarray], delta: np.ndarray):
-    for vec in kernel:
-        if abs(float(vec @ delta)) > 1e-12:
+def _check_finite(floating: Sequence[np.ndarray], delta: np.ndarray):
+    """Refuse a pair direction that charges a zero-energy component."""
+    for comp in floating:
+        if abs(float(delta[comp].sum())) > 1e-12:
             raise InfiniteResistanceError(
                 "infinite resistance: pair separated by a zero-energy direction"
             )
 
 
-def _sup_value(
-    A: np.ndarray,
-    kernel: list[np.ndarray],
-    delta: np.ndarray,
-    method: str,
-) -> tuple[float, np.ndarray]:
-    """Maximize (delta.g)^2 / g.A.g; returns (value, potential with unit gap).
-
-    ``kernel`` must span the null space of A; the pair direction is
-    required to be orthogonal to it (checked by the caller).
-    """
-    if method == "constrained_solve":
-        B = A.copy()
-        for vec in kernel:
-            B += np.outer(vec, vec)
-        sol = scipy.linalg.solve(B, delta, assume_a="pos")
-    elif method == "pseudoinverse":
-        sol = np.linalg.pinv(A, hermitian=True) @ delta
-    else:
-        raise ValidationError([f"unknown solver method {method!r}"])
+def _unit_gap(delta: np.ndarray, sol: np.ndarray) -> tuple[float, np.ndarray]:
+    """The value (delta.g)^2 / g.A.g = delta.sol for a solution of
+    A sol = delta, with the potential rescaled to unit gap."""
     value = float(delta @ sol)
     if value <= 0:
         raise ConsistencyError("nonpositive resistance from solver")
     return value, sol / value
+
+
+def _pair_direction(g: WeightedGraph, x: Vertex, y: Vertex) -> np.ndarray:
+    delta = np.zeros(g.size)
+    delta[g.index[x]] = 1.0
+    delta[g.index[y]] = -1.0
+    return delta
 
 
 def resistance_finite(
@@ -105,9 +97,11 @@ def resistance_finite(
 ) -> ResistanceResult:
     """Effective resistance on a finite graph, with the minimizing potential.
 
-    The minimizer has unit difference at the pair and energy 1/r.  Raises
+    The minimizer has unit difference at the pair and energy 1/r, and mean
+    zero on every component free of killing term.  Raises
     InfiniteResistanceError when the pair cannot be coupled (different
-    components, both free of killing term).
+    components, both free of killing term).  ``constrained_solve`` runs the
+    grounded sparse factorization; ``pseudoinverse`` is the dense oracle.
     """
     for v in (x, y):
         if v not in g.index:
@@ -116,20 +110,25 @@ def resistance_finite(
         return ResistanceResult(
             (x, y), 0.0, VertexFunction.constant(g, 0.0), method
         )
-    A = quadratic_form_matrix(g)
-    delta = np.zeros(g.size)
-    delta[g.index[x]] = 1.0
-    delta[g.index[y]] = -1.0
-    kernel = _kernel_basis(g)
-    _check_finite(g, kernel, delta)
-    r, pot = _sup_value(A, kernel, delta, method)
-    coupled = g.component_of(x) is not g.component_of(y)
+    delta = _pair_direction(g, x, y)
+    if method == "constrained_solve":
+        factor = GroundedFactor(g)
+        _check_finite(factor.floating, delta)
+        sol = factor.solve(delta)
+        coupled = factor.component[g.index[x]] != factor.component[g.index[y]]
+    elif method == "pseudoinverse":
+        _check_finite([np.flatnonzero(vec) for vec in _kernel_basis(g)], delta)
+        sol = np.linalg.pinv(quadratic_form_matrix(g), hermitian=True) @ delta
+        coupled = g.component_of(x) is not g.component_of(y)
+    else:
+        raise ValidationError([f"unknown solver method {method!r}"])
+    r, pot = _unit_gap(delta, sol)
     return ResistanceResult(
         (x, y),
         r,
         VertexFunction.from_array(g, pot),
         method,
-        coupled_through_killing=coupled,
+        coupled_through_killing=bool(coupled),
     )
 
 
@@ -149,25 +148,14 @@ def rho_o(g: WeightedGraph, x: Vertex, y: Vertex, o: Vertex) -> float:
             raise UnknownVertexError(repr(v))
     if x == y:
         return 0.0
-    A = quadratic_form_matrix(g)
-    oi = g.index[o]
-    A[oi, oi] += 1.0
-    delta = np.zeros(g.size)
-    delta[g.index[x]] = 1.0
-    delta[g.index[y]] = -1.0
-    # The anchored form is definite on o's component and on every
-    # component carrying killing term; flat vectors elsewhere stay null.
-    kernel = []
-    for comp in g.components:
-        if o in comp:
-            continue
-        if all(g.killing[v] == 0.0 for v in comp):
-            vec = np.zeros(g.size)
-            for v in comp:
-                vec[g.index[v]] = 1.0
-            kernel.append(vec / math.sqrt(len(comp)))
-    _check_finite(g, kernel, delta)
-    val, _ = _sup_value(A, kernel, delta, "constrained_solve")
+    # The anchor is one unit of potential at o: the form is definite on
+    # o's component and on every component carrying killing term.
+    anchor = np.zeros(g.size)
+    anchor[g.index[o]] = 1.0
+    factor = GroundedFactor(g, potential=anchor)
+    delta = _pair_direction(g, x, y)
+    _check_finite(factor.floating, delta)
+    val, _ = _unit_gap(delta, factor.solve(delta))
     return math.sqrt(val)
 
 

@@ -125,6 +125,31 @@ def test_03_resistance_oracles():
             reductions += 1
             assert abs(a - sp) <= 1e-9 * (1 + a)
     assert reductions >= 50  # the reduction oracle must actually participate
+
+    def minimizer(res, g):
+        return np.array([complex(res.minimizer[v]).real for v in g.vertices])
+
+    # grounded and pseudoinverse minimizers agree entry by entry, with
+    # killing term and across two components coupled only through it
+    rng = np.random.default_rng(3031)
+    for trial in range(60):
+        n = int(rng.integers(3, 9))
+        g = random_connected_graph(rng, n, with_killing=True)
+        if trial % 2:
+            h = random_connected_graph(rng, n, with_killing=True)
+            g = WeightedGraph.build(
+                g.vertices + tuple(f"h{v}" for v in h.vertices),
+                {**g.edges, **{(f"h{u}", f"h{v}"): b for (u, v), b in h.edges.items()}},
+                {**g.killing, **{f"h{v}": c for v, c in h.killing.items()}},
+            )
+        verts = list(g.vertices)
+        x, y = verts[0], verts[-1]
+        a = resistance_finite(g, x, y, "constrained_solve")
+        b = resistance_finite(g, x, y, "pseudoinverse")
+        assert a.coupled_through_killing == bool(trial % 2)
+        assert abs(a.r - b.r) <= 1e-9 * (1 + a.r)
+        diff = np.abs(minimizer(a, g) - minimizer(b, g)).max()
+        assert diff <= 1e-9 * (1 + np.abs(minimizer(b, g)).max())
     tri = WeightedGraph.build(
         ("a", "b", "c"), {("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 1.0}
     )

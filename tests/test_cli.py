@@ -179,6 +179,19 @@ class TestExitCodes:
     def test_missing_file_is_2(self, tmp_path):
         assert main(["metric", str(tmp_path / "none.json")]) == 2
 
+    def test_ill_conditioned_is_2(self, tmp_path, capsys):
+        # comb weights span 2^0..2^100: elimination cancels every digit of
+        # a pivot, so the solve is refused instead of printing a wrong r
+        code, _ = run(["gen", "--family", "comb", "--levels", "100"], tmp_path, "c.json")
+        assert code == 0
+        capsys.readouterr()
+        code, data = run(
+            ["resistance", "--pair", "0:0,94:0", str(tmp_path / "c.json")], tmp_path, "r.json"
+        )
+        assert code == 2 and data == b""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ill-conditioned")
+
     def test_inconclusive_is_3_when_demanded(self, tmp_path, monkeypatch):
         # a family without analytic facts leaves conditions inconclusive
         wrapped = add_killing(
@@ -228,6 +241,15 @@ class TestDeterminism:
         _, first = run(argv, tmp_path, "a.csv")
         _, second = run(argv, tmp_path, "b.csv")
         assert first == second
+        for argv, ext in [
+            (["resistance", "--pair", "0,2;1,2", "--anchor", "1", "--minimizer", path_doc], "json"),
+            (["dirichlet", "--boundary", "0=1,2=-0.5", path_doc], "csv"),
+            (["capacity", "--family", "comb", "--levels", "12"], "json"),
+        ]:
+            code, first = run(argv, tmp_path, f"a.{ext}")
+            assert code == 0
+            _, second = run(argv, tmp_path, f"b.{ext}")
+            assert first == second
 
     def test_gen_deterministic(self, tmp_path):
         _, a = run(["gen", "--family", "twin_rays", "--levels", "5"], tmp_path, "a.json")

@@ -5,19 +5,29 @@ import math
 import numpy as np
 import pytest
 
+import graphlab.core as core_module
 from graphlab.core import (
+    GroundedFactor,
     Measure,
     VertexFunction,
     WeightedGraph,
     apply_laplacian,
     energy,
     energy_inner,
+    energy_matrix,
     norm_o,
     quadratic_form_matrix,
     validate_graph,
     validate_graph_data,
 )
-from graphlab.errors import DomainMismatchError, UnknownVertexError, ValidationError
+from graphlab.errors import (
+    DomainMismatchError,
+    IllConditionedError,
+    SingularSystemError,
+    UnknownVertexError,
+    ValidationError,
+)
+from graphlab.families import FamilySpec, make
 
 from conftest import assert_close, path_graph, random_connected_graph, random_function
 
@@ -221,3 +231,64 @@ class TestNormO:
     def test_unknown_anchor(self, unit_edge):
         with pytest.raises(UnknownVertexError):
             norm_o(unit_edge, VertexFunction.constant(unit_edge, 1.0), "z")
+
+
+class TestEnergyMatrix:
+    def test_matches_dense_form(self, rng):
+        for _ in range(20):
+            g = random_connected_graph(rng, 9, with_killing=bool(rng.integers(0, 2)))
+            extra = rng.uniform(0.0, 1.0, g.size)
+            A = quadratic_form_matrix(g)
+            assert np.array_equal(energy_matrix(g).toarray(), A)
+            assert np.array_equal(energy_matrix(g, extra).toarray(), A + np.diag(extra))
+
+
+class TestGroundedFactor:
+    def test_dirichlet_block_matches_dense_solve(self, rng):
+        for _ in range(30):
+            g = random_connected_graph(rng, 12, with_killing=bool(rng.integers(0, 2)))
+            fixed = sorted({int(i) for i in rng.integers(0, 12, 3)})
+            phi = rng.standard_normal(len(fixed))
+            u = GroundedFactor(g, fixed=fixed).solve(fixed_values=phi)
+            A = quadratic_form_matrix(g)
+            free = [i for i in range(12) if i not in fixed]
+            want = np.linalg.solve(A[np.ix_(free, free)], -A[np.ix_(free, fixed)] @ phi)
+            assert np.array_equal(u[fixed], phi)
+            assert np.abs(u[free] - want).max() <= 1e-10 * (1 + np.abs(want).max())
+
+    def test_floating_components_give_the_pseudoinverse_solution(self, rng):
+        # two killing-free components and one carrying killing term
+        g = WeightedGraph.build(
+            tuple("abcdefg"),
+            {("a", "b"): 1.0, ("b", "c"): 2.0, ("d", "e"): 0.5, ("f", "g"): 3.0},
+            {"f": 0.25},
+        )
+        factor = GroundedFactor(g)
+        assert sorted(comp.tolist() for comp in factor.floating) == [[0, 1, 2], [3, 4]]
+        rhs = rng.standard_normal(7)
+        for comp in factor.floating:
+            rhs[comp] -= rhs[comp].mean()
+        u = factor.solve(rhs)
+        want = np.linalg.pinv(quadratic_form_matrix(g), hermitian=True) @ rhs
+        assert np.abs(u - want).max() <= 1e-12 * (1 + np.abs(want).max())
+
+    def test_complex_data_is_two_real_solves(self, rng):
+        g = random_connected_graph(rng, 10)
+        factor = GroundedFactor(g, fixed=[0, 5])
+        re, im = rng.standard_normal(2), rng.standard_normal(2)
+        u = factor.solve(fixed_values=re + 1j * im)
+        assert np.array_equal(u.real, factor.solve(fixed_values=re))
+        assert np.array_equal(u.imag, factor.solve(fixed_values=im))
+
+    def test_pivot_guard_refuses_comb_100(self):
+        g = make(FamilySpec("comb")).build_ball(100).graph
+        with pytest.raises(IllConditionedError, match="ill-conditioned"):
+            GroundedFactor(g)
+
+    def test_superlu_singularity_becomes_singular_system_error(self, monkeypatch):
+        def exactly_singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(core_module.scipy.sparse.linalg, "splu", exactly_singular)
+        with pytest.raises(SingularSystemError, match="exactly singular"):
+            GroundedFactor(path_graph([1.0, 2.0]))

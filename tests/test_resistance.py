@@ -25,6 +25,13 @@ from graphlab.resistance import (
 from conftest import assert_close, path_graph, random_connected_graph, random_tree
 
 
+def assert_same_minimizer(g, a, b, tol=1e-9):
+    """Same resistance and same minimizing potential, entry by entry."""
+    assert abs(a.r - b.r) <= tol * (1 + a.r)
+    pa, pb = (np.array([complex(res.minimizer[v]).real for v in g.vertices]) for res in (a, b))
+    assert np.abs(pa - pb).max() <= tol * (1 + np.abs(pb).max())
+
+
 class TestResistanceFinite:
     def test_unit_triangle(self, unit_triangle):
         res = resistance_finite(unit_triangle, "a", "b")
@@ -59,6 +66,29 @@ class TestResistanceFinite:
             assert abs(gap - 1.0) <= 1e-10
             e = energy(g, res.minimizer).energy
             assert abs(e - 1.0 / res.r) <= 1e-9 * (1 + 1 / res.r)
+            assert_same_minimizer(g, res, resistance_finite(g, x, y, "pseudoinverse"))
+
+    def test_minimizer_across_components_coupled_through_killing(self, rng):
+        # pairs across two killed components, and a pair inside a killed
+        # component beside a killing-free one, whose minimizer part is 0
+        for _ in range(20):
+            left = random_connected_graph(rng, 6, with_killing=True)
+            right = random_connected_graph(rng, 5, with_killing=bool(rng.integers(0, 2)))
+            edges = dict(left.edges)
+            edges.update({(f"r{u}", f"r{v}"): b for (u, v), b in right.edges.items()})
+            killing = dict(left.killing)
+            killing.update({f"r{v}": c for v, c in right.killing.items()})
+            g = WeightedGraph.build(
+                left.vertices + tuple(f"r{v}" for v in right.vertices), edges, killing
+            )
+            x = left.vertices[int(rng.integers(0, 6))]
+            if right.has_killing():
+                y = f"r{right.vertices[int(rng.integers(0, 5))]}"
+            else:
+                y = next(v for v in left.vertices if v != x)
+            res = resistance_finite(g, x, y)
+            assert res.coupled_through_killing == right.has_killing()
+            assert_same_minimizer(g, res, resistance_finite(g, x, y, "pseudoinverse"))
 
     def test_infinite_when_disconnected_without_killing(self):
         g = WeightedGraph.build(("0", "1", "2", "3"), {("0", "1"): 1.0, ("2", "3"): 1.0})
@@ -122,6 +152,15 @@ class TestTreeIdentity:
                 r = resistance_finite(g, x, y).r
                 dd = d.distance(x, y)
                 assert abs(r - dd) <= 1e-9 * (1 + dd)
+
+    def test_comb_spine_sums(self):
+        # on a tree r equals the path sum; the comb's spine edge into n:0
+        # has weight 2^n, and its weights span 2^0..2^40 on the whole ball
+        g = make(FamilySpec("comb")).build_ball(40).graph
+        for n in range(1, 41):
+            r = resistance_finite(g, "0:0", f"{n}:0").r
+            exact = math.fsum(2.0**-k for k in range(1, n + 1))
+            assert abs(r - exact) <= 1e-10 * exact
 
 
 class TestAnchoredMetric:
