@@ -56,6 +56,18 @@ def document_from_graph(
     return GraphDocument(tuple(vrows), tuple(erows), dict(metadata or {}))
 
 
+def _number(value) -> float | None:
+    """A JSON number as a finite float; None for anything else (strings,
+    null, booleans, NaN, infinities and integers beyond float range)."""
+    if type(value) not in (int, float):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def parse_document(text: str) -> GraphDocument:
     """Parse and validate document JSON; returns the canonical contents.
 
@@ -93,13 +105,17 @@ def parse_document(text: str) -> GraphDocument:
             violations.append(f"duplicate vertex id {vid!r}")
             continue
         seen_ids.add(vid)
-        c = float(entry.get("c", 0.0))
-        if c < 0:
+        c = _number(entry.get("c", 0.0))
+        if c is None:
+            violations.append(f"killing term at {vid!r} is not a finite number")
+        elif c < 0:
             violations.append(f"negative killing term at {vid!r}")
         row = {"id": vid, "c": c}
         if "m" in entry:
-            mv = float(entry["m"])
-            if not (mv > 0) or not math.isfinite(mv):
+            mv = _number(entry["m"])
+            if mv is None:
+                violations.append(f"measure at {vid!r} is not a finite number")
+            elif not (mv > 0):
                 violations.append(f"nonpositive measure at {vid!r}")
             row["m"] = mv
         vrows.append(row)
@@ -112,7 +128,7 @@ def parse_document(text: str) -> GraphDocument:
         if not isinstance(entry, dict) or not {"u", "v", "b"} <= set(entry):
             violations.append(f"malformed edge entry {entry!r}")
             continue
-        u, v, b = entry["u"], entry["v"], float(entry["b"])
+        u, v, b = entry["u"], entry["v"], _number(entry["b"])
         if u not in seen_ids or v not in seen_ids:
             violations.append(f"edge ({u!r},{v!r}) references unknown vertex")
             continue
@@ -125,7 +141,10 @@ def parse_document(text: str) -> GraphDocument:
         if (u, v) in seen_edges:
             violations.append(f"duplicate edge ({u!r},{v!r})")
             continue
-        if not (b > 0) or not math.isfinite(b):
+        if b is None:
+            violations.append(f"weight on edge ({u!r},{v!r}) is not a finite number")
+            continue
+        if not (b > 0):
             violations.append(f"nonpositive weight on edge ({u!r},{v!r})")
             continue
         seen_edges.add((u, v))

@@ -18,12 +18,9 @@ from .core import Measure, Vertex, WeightedGraph
 from .errors import UnknownVertexError, ValidationError
 
 
-def ball(g: WeightedGraph, o: Vertex, n: int) -> tuple[set, set]:
-    """Vertices reachable from ``o`` in at most ``n`` hops, plus frontier.
-
-    The frontier consists of ball members with at least one neighbor
-    outside the ball.
-    """
+def hop_distances(g: WeightedGraph, o: Vertex, n: int | None = None) -> dict:
+    """Hop count from ``o`` to every vertex within ``n`` hops (every
+    reachable vertex when ``n`` is None), by breadth-first search."""
     if o not in g.index:
         raise UnknownVertexError(repr(o))
     dist = {o: 0}
@@ -36,7 +33,16 @@ def ball(g: WeightedGraph, o: Vertex, n: int) -> tuple[set, set]:
             if y not in dist:
                 dist[y] = dist[x] + 1
                 queue.append(y)
-    members = set(dist)
+    return dist
+
+
+def ball(g: WeightedGraph, o: Vertex, n: int) -> tuple[set, set]:
+    """Vertices reachable from ``o`` in at most ``n`` hops, plus frontier.
+
+    The frontier consists of ball members with at least one neighbor
+    outside the ball.
+    """
+    members = set(hop_distances(g, o, n))
     frontier = {
         x for x in members if any(y not in members for y in g.adjacency[x])
     }

@@ -20,7 +20,7 @@ from scipy.special import zeta
 
 from .core import Measure, Vertex, VertexFunction, WeightedGraph
 from .errors import FamilyError
-from .exhaustion import AnalyticFacts, Ball, GraphFamily, ball as hop_ball
+from .exhaustion import AnalyticFacts, Ball, GraphFamily, ball as hop_ball, hop_distances
 
 FAMILY_NAMES = (
     "finite_path",
@@ -33,7 +33,7 @@ FAMILY_NAMES = (
     "star_augmented",
 )
 
-MEASURE_RULES = ("unit", "canonical", "geometric", "custom")
+MEASURE_RULES = ("unit", "canonical", "geometric")
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,6 @@ class FamilySpec:
     params: tuple = ()
     measure: str = "unit"
     measure_param: float | None = None
-    custom_measure: Callable[[Vertex, int], float] | None = None
 
     def describe(self) -> str:
         ps = ",".join(str(p) for p in self.params)
@@ -65,34 +64,13 @@ def _measure_for(
     if spec.measure == "unit":
         return Measure.from_mapping({v: 1.0 for v in graph.vertices})
     if spec.measure == "canonical":
-        vals = {}
-        for v in graph.vertices:
-            nbrs = neighbor_view.adjacency[v]
-            if not nbrs:
-                raise FamilyError(f"canonical measure undefined at isolated {v!r}")
-            vals[v] = 0.5 * math.fsum(1.0 / b for b in nbrs.values())
-        return Measure.from_mapping(vals)
+        return Measure.canonical(neighbor_view).restrict(graph.vertices)
     if spec.measure == "geometric":
         q = spec.measure_param
         if q is None or not (0 < q < 1):
             raise FamilyError("geometric measure needs a ratio in (0,1)")
-        from collections import deque
-
-        dist = {origin: 0}
-        dq = deque([origin])
-        while dq:
-            x = dq.popleft()
-            for y in graph.adjacency[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    dq.append(y)
+        dist = hop_distances(graph, origin)
         return Measure.from_mapping({v: q ** dist[v] for v in graph.vertices})
-    if spec.measure == "custom":
-        if spec.custom_measure is None:
-            raise FamilyError("custom measure rule needs a callable")
-        return Measure.from_mapping(
-            {v: spec.custom_measure(v, 0) for v in graph.vertices}
-        )
     raise FamilyError(f"unknown measure rule {spec.measure!r}")
 
 

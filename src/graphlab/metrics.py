@@ -22,15 +22,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .core import (
-    Measure,
-    Vertex,
-    VertexFunction,
-    WeightedGraph,
-    energy,
-)
+from .core import Measure, Vertex, VertexFunction, WeightedGraph
 from .errors import GraphlabError, UnknownVertexError, ValidationError
-from .parallel import map_maybe_parallel, worker_count
 
 INF = float("inf")
 
@@ -186,16 +179,7 @@ def path_metric(
     length = length or LengthFunction.inverse_b()
     mat = _length_csr(g, length)
     if source is None:
-        workers = worker_count()
-        if workers > 1 and g.size > 64:
-            chunks = np.array_split(np.arange(g.size), workers)
-            parts = map_maybe_parallel(
-                lambda c: dijkstra(mat, directed=False, indices=c), chunks
-            )
-            dist = np.vstack(parts)
-        else:
-            dist = dijkstra(mat, directed=False)
-        return PseudometricTable(g.vertices, None, dist)
+        return PseudometricTable(g.vertices, None, dijkstra(mat, directed=False))
     if source not in g.index:
         raise UnknownVertexError(repr(source))
     dist = dijkstra(mat, directed=False, indices=[g.index[source]])
@@ -349,16 +333,6 @@ def set_distance(
     cols = [sigma.index(t) for t in targets]
     vals = sigma.dist[:, cols].min(axis=1)
     return VertexFunction({v: float(vals[i]) for i, v in enumerate(sigma.vertices)})
-
-
-def holder_bound_holds(
-    g: WeightedGraph, f: VertexFunction, x: Vertex, y: Vertex, slack: float = 1e-12
-) -> bool:
-    """|f(x)-f(y)|^2 <= energy(f) * d(x,y), with relative slack."""
-    d = path_metric(g, source=x).distance(x, y)
-    lhs = abs(f[x] - f[y]) ** 2
-    rhs = energy(g, f).energy * d
-    return lhs <= rhs * (1.0 + slack) + 1e-300
 
 
 def sample_unit_energy_functions(

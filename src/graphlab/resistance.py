@@ -8,7 +8,7 @@ the finite-energy functions.  Single pairs are solved by the package's
 one grounded sparse factorization (``core.GroundedFactor``); the dense
 pseudoinverse is kept alive deliberately as an independent oracle, beside
 a series-parallel reducer for the instances it can collapse and a path
-sum for trees.  The all-pairs table still inverts the dense energy matrix.
+sum for trees.  The all-pairs table takes the columns of the same factor.
 """
 
 from __future__ import annotations
@@ -304,27 +304,24 @@ def free_resistance(
 def all_pairs_rho(g: WeightedGraph) -> np.ndarray:
     """Dense matrix of the square-root resistance metric.
 
-    Requires a connected graph (or killing term everywhere); entries use
-    the pseudoinverse identity r_ij = G_ii + G_jj - 2 G_ij.
+    Requires a connected graph (or killing term everywhere).  The columns
+    of one grounded factor's solve against the identity form a generalized
+    inverse G; the mean-zero shift leaves it unsymmetric, so entries use
+    r_ij = (G_ii - G_ji) + (G_jj - G_ij), differences taken first so that
+    small resistances between vertices far from the ground keep their
+    digits.
     """
-    A = quadratic_form_matrix(g)
-    kernel = _kernel_basis(g)
-    if len(kernel) > 1 or (kernel and len(g.components) > 1):
+    factor = GroundedFactor(g)
+    if len(factor.floating) > 1 or (factor.floating and len(g.components) > 1):
         raise InfiniteResistanceError(
             "all-pairs table undefined across zero-energy components"
         )
-    B = A.copy()
-    for vec in kernel:
-        B += np.outer(vec, vec)
-    G = np.linalg.inv(B)
-    if kernel:
-        # remove the artificial flat mode so G acts as the pseudoinverse
-        for vec in kernel:
-            G -= np.outer(vec, vec)
-    diag = np.diag(G)
-    r = diag[:, None] + diag[None, :] - 2.0 * G
-    r = np.maximum(r, 0.0)
-    return np.sqrt(r)
+    G = factor.solve(np.eye(g.size))
+    # G becomes G_jj - G_ij in place
+    np.subtract(np.diag(G).copy(), G, out=G)
+    r = G + G.T
+    np.maximum(r, 0.0, out=r)
+    return np.sqrt(r, out=r)
 
 
 @dataclass(frozen=True)

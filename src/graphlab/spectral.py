@@ -142,13 +142,6 @@ def heat(
     return HeatResult(t, op.vertices, kernel, mass, float(weights.sum()))
 
 
-def apply_semigroup(op: TruncatedOperator, t: float, f: np.ndarray,
-                    spec: SpectrumResult | None = None) -> np.ndarray:
-    """e^{-tL} applied to a vector given in vertex order."""
-    res = heat(op, t, spec)
-    return res.kernel @ (op.measure * f)
-
-
 def trace_convergence(
     fam: GraphFamily,
     t: float,

@@ -176,6 +176,22 @@ class TestExitCodes:
         bad.write_text('{"format_version": 1, "vertices": [], "edges": []}')
         assert main(["metric", str(bad), "-o", str(tmp_path / "o.csv")]) == 2
 
+    def test_bad_numbers_are_2(self, tmp_path, capsys):
+        for vertex, weight in (
+            ('{"id": "a", "c": NaN}', "1.0"),
+            ('{"id": "a", "c": Infinity}', "1.0"),
+            ('{"id": "a", "c": "x"}', "1.0"),
+            ('{"id": "a", "c": 0}', "null"),
+        ):
+            bad = tmp_path / "bad.json"
+            bad.write_text(
+                '{"format_version": 1, "vertices": [' + vertex + ', {"id": "b", "c": 0}], '
+                '"edges": [{"u": "a", "v": "b", "b": ' + weight + "}]}"
+            )
+            assert main(["spectrum", str(bad), "-o", str(tmp_path / "s.csv")]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "not a finite number" in err[0]
+
     def test_missing_file_is_2(self, tmp_path):
         assert main(["metric", str(tmp_path / "none.json")]) == 2
 

@@ -86,6 +86,15 @@ class TestValidation:
             parse_document(json.dumps(doc))
         assert len(err.value.violations) == 2
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400, "1.0", None, True])
+    @pytest.mark.parametrize("field", ["c", "m", "b"])
+    def test_number_fields_must_be_finite_numbers(self, field, value):
+        doc = json.loads(json.dumps(MINIMAL))
+        target = doc["edges"][0] if field == "b" else doc["vertices"][0]
+        target[field] = value
+        with pytest.raises(ValidationError, match="not a finite number"):
+            parse_document(json.dumps(doc))
+
     def test_unknown_vertex_in_edge(self):
         doc = dict(MINIMAL, edges=[{"u": "a", "v": "zz", "b": 1.0}])
         with pytest.raises(ValidationError, match="unknown vertex"):

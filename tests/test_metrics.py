@@ -240,14 +240,6 @@ class TestHolderAndComparisons:
         assert best <= rho[idx[x], idx[y]] * (1 + 1e-10)
 
 
-def test_thread_env_var_keeps_results_identical(rng, monkeypatch):
-    g = random_connected_graph(rng, 120, extra_edges=60)
-    serial = path_metric(g).dist
-    monkeypatch.setenv("GRAPHLAB_THREADS", "4")
-    threaded = path_metric(g).dist
-    assert np.array_equal(serial, threaded)
-
-
 def test_ray_distance_approaches_zeta():
     import scipy.special
     from graphlab.families import FamilySpec, make

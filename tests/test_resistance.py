@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from graphlab.core import WeightedGraph, energy
+from graphlab.core import WeightedGraph, energy, quadratic_form_matrix
 from graphlab.errors import InfiniteResistanceError
 from graphlab.exhaustion import induced_subgraph
 from graphlab.families import FamilySpec, make
@@ -161,6 +161,38 @@ class TestTreeIdentity:
             r = resistance_finite(g, "0:0", f"{n}:0").r
             exact = math.fsum(2.0**-k for k in range(1, n + 1))
             assert abs(r - exact) <= 1e-10 * exact
+
+    def test_all_pairs_on_comb_40(self):
+        # the smallest comb resistances are 2^-40, next to entries near 2
+        g = make(FamilySpec("comb")).build_ball(40).graph
+        d = path_metric(g).dist
+        rho2 = all_pairs_rho(g) ** 2
+        off = ~np.eye(g.size, dtype=bool)
+        assert np.all(np.abs(rho2[off] - d[off]) <= 1e-12 * d[off])
+        assert np.all(np.diag(rho2) == 0.0)
+
+
+class TestAllPairs:
+    def test_refused_across_zero_energy_components(self):
+        edges = {("0", "1"): 1.0, ("2", "3"): 2.0}
+        for killing in ({}, {"2": 1.0}):
+            g = WeightedGraph.build(("0", "1", "2", "3"), edges, killing)
+            with pytest.raises(InfiniteResistanceError, match="all-pairs"):
+                all_pairs_rho(g)
+
+    def test_two_killed_components_match_the_pseudoinverse(self):
+        g = WeightedGraph.build(
+            tuple("abcde"),
+            {("a", "b"): 1.0, ("b", "c"): 3.0, ("d", "e"): 0.5},
+            {"a": 0.25, "e": 2.0},
+        )
+        G = np.linalg.pinv(quadratic_form_matrix(g), hermitian=True)
+        diag = np.diag(G)
+        want = np.sqrt(diag[:, None] + diag[None, :] - 2.0 * G)
+        got = all_pairs_rho(g)
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+        # the cross-component entries couple through the killing term only
+        assert np.all(got[:3, 3:] > 0)
 
 
 class TestAnchoredMetric:
