@@ -96,7 +96,10 @@ def _parse_assignments(text: str) -> dict[str, float]:
         if "=" not in chunk:
             raise GraphlabError(f"boundary assignment {chunk!r} needs id=value")
         vid, val = chunk.split("=", 1)
-        out[vid] = float(val)
+        try:
+            out[vid] = float(val)
+        except ValueError:
+            raise GraphlabError(f"boundary value in {chunk!r} is not a number") from None
     return out
 
 
@@ -105,7 +108,10 @@ def _family_from_args(args) -> FamilySpec:
     measure = args.measure
     if measure and ":" in measure:
         measure, mp = measure.split(":", 1)
-        mp = float(mp)
+        try:
+            mp = float(mp)
+        except ValueError:
+            raise GraphlabError(f"measure parameter {mp!r} is not a number") from None
     return parse_family_spec(args.family, measure or "unit", mp)
 
 

@@ -16,18 +16,17 @@ diameter growth) stays labeled empirical.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 import math
 
 import numpy as np
 
 from .core import Measure, VertexFunction, WeightedGraph, energy
-from .errors import ConsistencyError, InfiniteResistanceError
+from .errors import ConsistencyError, FamilyError
 from .exhaustion import GraphFamily
 from .families import witness_functions
-from .metrics import LengthFunction, path_metric, sigma_from_function, verify_intrinsic
-from .resistance import all_pairs_rho, rho_diameter_estimate
+from .metrics import LengthFunction, PseudometricTable, path_metric, sigma_from_function, verify_intrinsic
+from .resistance import rho_diameter_estimate
 
 CONDITIONS = ("A", "B", "C", "D")
 
@@ -145,10 +144,10 @@ def greedy_net_size(dist: np.ndarray, start: int, eps: float, cap: int = 64) -> 
     within eps of one.  Returns cap+1 when the budget is exhausted."""
     cover = dist[start].copy()
     size = 1
-    while np.nanmax(cover) > eps:
+    while cover.max() > eps:
         if size > cap:
             return cap + 1
-        nxt = int(np.nanargmax(cover))
+        nxt = int(cover.argmax())
         cover = np.minimum(cover, dist[nxt])
         size += 1
     return size
@@ -161,14 +160,12 @@ def _net_evidence(
     cap: int = 64,
 ) -> dict:
     """Net sizes per epsilon per probe level, using the top-ball metric."""
-    out: dict[str, list[int]] = {}
-    for eps in EPS_LADDER:
-        sizes = []
-        for members in level_members:
-            sub = dist_top[np.ix_(members, members)]
-            start = members.index(origin_idx) if origin_idx in members else 0
-            sizes.append(greedy_net_size(sub, start, eps, cap))
-        out[repr(eps)] = sizes
+    out: dict[str, list[int]] = {repr(eps): [] for eps in EPS_LADDER}
+    for members in level_members:
+        sub = dist_top[np.ix_(members, members)]
+        start = members.index(origin_idx) if origin_idx in members else 0
+        for eps in EPS_LADDER:
+            out[repr(eps)].append(greedy_net_size(sub, start, eps, cap))
     return out
 
 
@@ -229,19 +226,10 @@ def diagnose_family(
     ]
     origin_idx = idx_top[fam.origin]
 
-    d_top = path_metric(g_top).dist
-    d_nets = _net_evidence(d_top, level_members, origin_idx, net_cap)
-    try:
-        rho_top = all_pairs_rho(g_top)
-    except InfiniteResistanceError:
-        rho_top = None
-    rho_nets = (
-        _net_evidence(rho_top, level_members, origin_idx, net_cap)
-        if rho_top is not None
-        else {}
-    )
-
+    d_top = path_metric(g_top)
+    d_nets = _net_evidence(d_top.dist, level_members, origin_idx, net_cap)
     diam = rho_diameter_estimate(fam, probes, tolerance)
+    rho_nets = _net_evidence(diam.table, level_members, origin_idx, net_cap)
 
     conditions: dict[str, ConditionReport] = {}
     certs = dict(fam.facts.certified_conditions) if fam.facts else {}
@@ -270,13 +258,10 @@ def diagnose_family(
         status, why = _empirical_status(d_nets)
         conditions["A"] = ConditionReport("A", status, why)
     if "B" not in conditions:
-        if rho_nets:
-            status, why = _empirical_status(rho_nets)
-        else:
-            status, why = "inconclusive", "resistance metric not computable on probes"
+        status, why = _empirical_status(rho_nets)
         conditions["B"] = ConditionReport("B", status, why)
     if "C" not in conditions:
-        battery = _intrinsic_battery(fam, probes, g_top, level_members, origin_idx, net_cap)
+        battery = _intrinsic_battery(fam, d_top, g_top, level_members, origin_idx, net_cap)
         growing = [name for name, (s, _) in battery.items() if s == "fails(empirical)"]
         if growing:
             status, why = "fails(empirical)", f"intrinsic battery member grows: {growing[0]}"
@@ -313,7 +298,7 @@ def diagnose_family(
     }
     try:
         wits = witness_functions(fam)
-    except Exception:
+    except FamilyError:
         wits = {}
     if wits:
         n = probes[-1]
@@ -335,7 +320,7 @@ def _with_evidence(rep: ConditionReport, extra: dict) -> ConditionReport:
 
 def _intrinsic_battery(
     fam: GraphFamily,
-    probes: Sequence[int],
+    d_top: PseudometricTable,
     g_top: WeightedGraph,
     level_members: list[list[int]],
     origin_idx: int,
@@ -344,16 +329,19 @@ def _intrinsic_battery(
     """Total-boundedness evidence for a configurable family of intrinsic
     metrics: the canonical-mass path metric when the inverse weights are
     summable, increment pseudometrics of sampled functions, and the
-    degree-bounded path metric for a geometric mass."""
+    degree-bounded path metric for a geometric mass.
+
+    ``d_top`` is the all-pairs inverse-weight path metric of ``g_top``,
+    computed once by the caller and read here for the canonical-mass
+    member and its intrinsic check.
+    """
     battery: dict[str, tuple[str, dict]] = {}
     facts = fam.facts
 
     if facts and facts.inv_b_total is not None:
-        m = Measure.canonical(g_top)
-        d_top = path_metric(g_top).dist
-        check = verify_intrinsic(g_top, m, path_metric(g_top))
+        check = verify_intrinsic(g_top, Measure.canonical(g_top), d_top)
         if check.ok:
-            nets = _net_evidence(d_top, list(level_members), origin_idx, net_cap)
+            nets = _net_evidence(d_top.dist, level_members, origin_idx, net_cap)
             battery["d_with_canonical_mass"] = _empirical_status(nets)[0], nets
 
     rng = np.random.default_rng(7)
@@ -366,14 +354,14 @@ def _intrinsic_battery(
         scale = 1.0 / math.sqrt(e)
         f = VertexFunction({v: f[v] * scale for v in g_top.vertices})
         table, _ = sigma_from_function(g_top, f)
-        nets = _net_evidence(table.dist, list(level_members), origin_idx, net_cap)
+        nets = _net_evidence(table.dist, level_members, origin_idx, net_cap)
         battery[f"sigma_from_sample_{k}"] = _empirical_status(nets)[0], nets
 
     mgeo = Measure.from_mapping(
         {v: 0.5 ** min(i, 500) for i, v in enumerate(g_top.vertices)}
     )
     table = path_metric(g_top, LengthFunction.degree_path(mgeo))
-    nets = _net_evidence(table.dist, list(level_members), origin_idx, net_cap)
+    nets = _net_evidence(table.dist, level_members, origin_idx, net_cap)
     battery["degree_path_geometric_mass"] = _empirical_status(nets)[0], nets
     return battery
 

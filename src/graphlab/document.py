@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import json
 import math
 
-from .core import Measure, VertexFunction, WeightedGraph
+from .core import Measure, WeightedGraph
 from .errors import ValidationError
 from .heart import HEART
 
@@ -186,6 +186,3 @@ def load_graph(path: str) -> tuple[WeightedGraph, Measure | None]:
         doc = parse_document(fh.read())
     return graph_from_document(doc)
 
-
-def function_to_rows(f: VertexFunction) -> list[tuple[str, float]]:
-    return [(str(v), float(complex(val).real)) for v, val in sorted(f.values.items(), key=lambda kv: str(kv[0]))]

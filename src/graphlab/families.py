@@ -489,9 +489,14 @@ def witness_functions(
     """
     from .core import energy as _energy
 
-    if not fam.name.startswith("ray_power"):
-        raise FamilyError(f"no witness functions for family {fam.name}")
-    p = float(fam.name[fam.name.index("(") + 1 : -1])
+    # only a plain ray, named exactly ray_power(<p>), not ray_power(3)+killing
+    head, _, rest = fam.name.partition("(")
+    try:
+        if head != "ray_power" or not rest.endswith(")"):
+            raise ValueError(fam.name)
+        p = float(rest[:-1])
+    except ValueError:
+        raise FamilyError(f"no witness functions for family {fam.name}") from None
 
     def on_ball(fn: Callable[[int], float]) -> Callable[[int], tuple[VertexFunction, float]]:
         def builder(n: int) -> tuple[VertexFunction, float]:
@@ -520,5 +525,8 @@ def parse_family_spec(text: str, measure: str = "unit",
             inner = parse_family_spec(":".join(parts[1:]))
             return FamilySpec(name, (inner,), measure, measure_param)
         return FamilySpec(name, (), measure, measure_param)
-    params = tuple(float(p) if "." in p or name == "ray_power" else int(p) for p in parts[1:])
+    try:
+        params = tuple(float(p) if "." in p or name == "ray_power" else int(p) for p in parts[1:])
+    except ValueError:
+        raise FamilyError(f"family parameters in {text!r} must be numbers") from None
     return FamilySpec(name, params, measure, measure_param)

@@ -97,15 +97,6 @@ class LengthFunction:
             f"{self.kind}^{s}", lambda g, x, y, b: base(g, x, y, b) ** s
         )
 
-    def evaluate(self, g: WeightedGraph, x: Vertex, y: Vertex) -> float:
-        b = g.b(x, y)
-        if b == 0.0:
-            return 0.0
-        val = self.fn(g, x, y, b)
-        if val < 0:
-            raise ValidationError([f"negative length on edge ({x!r},{y!r})"])
-        return val
-
 
 @dataclass(frozen=True)
 class PseudometricTable:

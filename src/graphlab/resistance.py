@@ -14,7 +14,7 @@ sum for trees.  The all-pairs table takes the columns of the same factor.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -326,11 +326,16 @@ def all_pairs_rho(g: WeightedGraph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiameterEstimate:
+    """Resistance-diameter profile over probe levels.  ``table`` is the
+    ``all_pairs_rho`` matrix of the top ball (rows by its ``graph.index``)
+    that every value was read from; callers reuse it instead of solving."""
+
     values: tuple[float, ...]
     report: ConvergenceReport
     status: str  # finite | infinite | inconclusive
     certified_bound: float | None
     lower_bound: float
+    table: np.ndarray = field(repr=False, compare=False)
 
 
 def rho_diameter_estimate(
@@ -353,10 +358,10 @@ def rho_diameter_estimate(
         raise ValidationError(["need at least one level"])
     top = fam.build_ball(levels[-1])
     table = all_pairs_rho(top.graph)
-    vmap = {v: i for i, v in enumerate(top.graph.vertices)}
+    idx = top.graph.index
     values = []
     for n in levels:
-        members = [vmap[v] for v in fam.build_ball(n).graph.vertices]
+        members = [idx[v] for v in fam.build_ball(n).graph.vertices]
         sub = table[np.ix_(members, members)]
         values.append(float(sub.max()) if sub.size else 0.0)
     report = monitor(values, tolerance)
@@ -384,7 +389,7 @@ def rho_diameter_estimate(
             if bound is not None and report.converged:
                 status = "finite"
                 certified = bound
-    return DiameterEstimate(tuple(values), report, status, certified, lower)
+    return DiameterEstimate(tuple(values), report, status, certified, lower, table)
 
 
 def collapse_set(

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import Measure, Vertex, WeightedGraph, quadratic_form_matrix
-from .errors import ValidationError
+from .errors import UnknownVertexError, ValidationError
 from .exhaustion import ConvergenceReport, GraphFamily, monitor
 
 ZERO_EIGENVALUE_TOL = 1e-10
@@ -115,12 +115,10 @@ class HeatResult:
     partial_trace: float
 
     def entry(self, x: Vertex, y: Vertex) -> float:
-        i = self.vertices.index(x)
-        j = self.vertices.index(y)
-        return float(self.kernel[i, j])
-
-    def mass_at(self, x: Vertex) -> float:
-        return float(self.mass[self.vertices.index(x)])
+        for v in (x, y):
+            if v not in self.vertices:
+                raise UnknownVertexError(repr(v))
+        return float(self.kernel[self.vertices.index(x), self.vertices.index(y)])
 
 
 def heat(

@@ -208,6 +208,23 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ill-conditioned")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dirichlet", "--boundary", "0:0=1;2:0=-1", "DOC"],
+            ["gen", "--family", "comb:x"],
+            ["gen", "--family", "ray_power:3", "--measure", "geometric:abc"],
+            ["heat", "--t", "1", "--probe", "0:0,zz", "DOC"],
+        ],
+        ids=["boundary_separator", "family_param", "measure_param", "heat_probe"],
+    )
+    def test_malformed_argument_is_2(self, argv, comb_doc, tmp_path, capsys):
+        argv = [comb_doc if a == "DOC" else a for a in argv]
+        code, data = run(argv, tmp_path, "out")
+        assert code == 2 and data == b""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_inconclusive_is_3_when_demanded(self, tmp_path, monkeypatch):
         # a family without analytic facts leaves conditions inconclusive
         wrapped = add_killing(

@@ -1,6 +1,10 @@
 """Classification reports: battery verdicts and lattice consistency."""
 
+import dataclasses
+import sys
+
 import pytest
+from scipy.special import zeta
 
 from graphlab.diagnose import (
     ConditionReport,
@@ -10,6 +14,7 @@ from graphlab.diagnose import (
     greedy_net_size,
 )
 from graphlab.errors import ConsistencyError
+from graphlab.exhaustion import AnalyticFacts
 from graphlab.families import FamilySpec, make
 from graphlab.metrics import path_metric
 
@@ -129,3 +134,53 @@ def test_witness_energies_in_evidence():
     ev = report.conditions["D"].evidence
     assert "witness_energies" in ev
     assert ev["witness_energies"]["constant"] == 0.0
+
+
+def _count_tables(monkeypatch) -> dict[str, int]:
+    """Wrap all_pairs_rho and path_metric at every graphlab module binding
+    and count all-pairs tables: resistance, and the inverse-weight path
+    metric (other lengths are other metrics).  Modules are reached through
+    sys.modules because ``graphlab.diagnose`` the attribute is a function."""
+    counts = {"rho": 0, "d": 0}
+    rho_fn = sys.modules["graphlab.resistance"].all_pairs_rho
+    d_fn = sys.modules["graphlab.metrics"].path_metric
+
+    def rho_counted(g):
+        counts["rho"] += 1
+        return rho_fn(g)
+
+    def d_counted(g, length=None, source=None):
+        if source is None and (length is None or length.kind == "inverse_b"):
+            counts["d"] += 1
+        return d_fn(g, length, source)
+
+    for name, mod in list(sys.modules.items()):
+        if name != "graphlab" and not name.startswith("graphlab."):
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is rho_fn:
+                monkeypatch.setattr(mod, attr, rho_counted)
+            elif value is d_fn:
+                monkeypatch.setattr(mod, attr, d_counted)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["comb", "twin_rays"])
+def test_each_table_computed_once(name, monkeypatch):
+    counts = _count_tables(monkeypatch)
+    diagnose_family(make(FamilySpec(name)), levels=12)
+    assert counts == {"rho": 1, "d": 1}
+
+
+def test_canonical_mass_battery_member(monkeypatch):
+    # no built-in family leaves C uncertified with summable inverse weights
+    base = make(FamilySpec("ray_power", (3.0,)))
+    fam = dataclasses.replace(
+        base, facts=AnalyticFacts(is_tree=True, inv_b_total=float(zeta(3)))
+    )
+    counts = _count_tables(monkeypatch)
+    report = diagnose_family(fam, levels=16)
+    battery = report.conditions["C"].evidence["battery"]
+    assert battery["d_with_canonical_mass"] == "holds(empirical)"
+    assert report.conditions["C"].status == "holds(empirical)"
+    assert counts == {"rho": 1, "d": 1}

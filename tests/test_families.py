@@ -105,6 +105,12 @@ class TestWitnesses:
         with pytest.raises(FamilyError):
             witness_functions(make(FamilySpec("comb")))
 
+    def test_wrapped_ray_has_no_witnesses(self):
+        # named ray_power(3)+killing: the exponent is not read out of it
+        fam = add_killing(make(FamilySpec("ray_power", (3.0,))), lambda v: 1.0)
+        with pytest.raises(FamilyError):
+            witness_functions(fam)
+
 
 class TestCounterexampleBehavior:
     def test_comb_ball_diameter_below_three(self):
