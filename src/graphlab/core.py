@@ -15,10 +15,14 @@ is the associated formal Laplacian; dividing by a vertex measure ``m``
 gives its measure-weighted variant.  Everything here is immutable and
 pure, so shared instances are safe to use concurrently.
 
-Every linear solve of the package, apart from the dense pseudoinverse kept
-as an oracle, goes through one sparse energy matrix and one grounded
-factorization of it (``GroundedFactor``), followed by one step of iterative
-refinement against a residual summed edge by edge.
+Every single-shot linear solve of the package, apart from the dense
+pseudoinverse kept as an oracle, goes through one sparse energy matrix and
+one grounded factorization of it (``GroundedFactor``), followed by one step
+of iterative refinement against a residual summed edge by edge.
+``eliminate`` records one star–mesh elimination of the graph in edge form,
+with the killing term as edges to a heart terminal; its pivots are sums of
+positive weights, so no digit cancels.  The all-pairs resistance table is
+read from that record.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+import heapq
 import math
 
 import numpy as np
@@ -408,8 +413,124 @@ def energy_matrix(
     return scipy.sparse.csr_matrix(_energy_block(g, keep, potential), shape=(g.size,) * 2)
 
 
-#: columns per residual product in a block solve
-_BLOCK = 256
+@dataclass(frozen=True)
+class Elimination:
+    """Record of one star–mesh elimination of a weighted graph.
+
+    Vertex index n (the graph's size) stands for the heart: the killing
+    term at a vertex is an edge from it to the heart, which is never
+    eliminated.  Step k removed vertex ``order[k]`` with pivot d = sum of
+    its edge weights (heart edge included); its neighbours at that moment
+    are ``neighbours[indptr[k]:indptr[k + 1]]``, every one of them
+    eliminated later or a terminal, with ``weights`` l_a = w_a / d beside
+    them and ``inverse_pivots[k]`` = 1/d.  ``terminals`` are the vertices
+    never eliminated: the heart first when the graph carries killing term,
+    then the last vertex of each component without killing term (its pivot
+    would be zero).
+    """
+
+    order: np.ndarray
+    terminals: np.ndarray
+    indptr: np.ndarray
+    neighbours: np.ndarray
+    weights: np.ndarray
+    inverse_pivots: np.ndarray
+
+
+def eliminate(g: WeightedGraph) -> Elimination:
+    """Eliminate every vertex by the star–mesh transform (Kron reduction).
+
+    Removing u with neighbour weights w_a and pivot d joins each pair of
+    its neighbours by an edge of weight w_a w_b / d (an edge to the heart
+    is killing term).  Every quantity is a sum or product of positives, so
+    no digit cancels whatever the weights (GTH elimination: Grassmann,
+    Taksar & Heyman, Oper. Res. 33, 1985).  Vertices go in min-degree
+    order, ties broken by index.  Once the next pivot's degree squared
+    exceeds the number of vertices left, fill has made the rest dense, and
+    it is eliminated as one numpy block by the same rules, in the order of
+    its degrees at that moment.
+    """
+    n = g.size
+    ii, jj, ww = g.edge_arrays
+    adj: list[dict[int, float]] = [{} for _ in range(n)]
+    for i, j, w in zip(ii.tolist(), jj.tolist(), ww.tolist()):
+        adj[i][j] = w
+        adj[j][i] = w
+    kill = g.killing_array.tolist()
+    done = [False] * n
+    order: list[int] = []
+    terminals: list[int] = [n] if any(kill) else []
+    indptr, nbrs, ls, inv = [0], [], [], []
+    heap = [(len(adj[i]), i) for i in range(n)]
+    heapq.heapify(heap)
+    left = n
+    while heap:
+        deg, u = heapq.heappop(heap)
+        if done[u] or deg != len(adj[u]):
+            continue
+        if deg * deg > left:
+            break
+        done[u] = True
+        left -= 1
+        star = list(adj[u].items())
+        kappa = kill[u]
+        d = sum(w for _, w in star) + kappa
+        if d == 0.0:
+            terminals.append(u)
+            continue
+        order.append(u)
+        nbrs.extend(a for a, _ in star)
+        ls.extend(w / d for _, w in star)
+        if kappa:
+            nbrs.append(n)
+            ls.append(kappa / d)
+        indptr.append(len(nbrs))
+        inv.append(1.0 / d)
+        for p, (a, wa) in enumerate(star):
+            near = adj[a]
+            del near[u]
+            if kappa:
+                kill[a] += wa * kappa / d
+            for b, wb in star[p + 1 :]:
+                near[b] = adj[b][a] = near.get(b, 0.0) + wa * wb / d
+            heapq.heappush(heap, (len(near), a))
+    rest = sorted((v for v in range(n) if not done[v]), key=lambda v: (len(adj[v]), v))
+    if rest:
+        m = len(rest)
+        at = {v: k for k, v in enumerate(rest)}
+        W = np.zeros((m, m))
+        for k, v in enumerate(rest):
+            for a, w in adj[v].items():
+                W[k, at[a]] = w
+        kap = np.array([kill[v] for v in rest])
+        ids = np.array(rest)
+        for k in range(m):
+            w = W[k, k + 1 :]
+            d = w.sum() + kap[k]
+            if d == 0.0:
+                terminals.append(rest[k])
+                continue
+            order.append(rest[k])
+            nz = np.flatnonzero(w)
+            nbrs.extend(ids[k + 1 + nz].tolist())
+            ls.extend((w[nz] / d).tolist())
+            if kap[k]:
+                nbrs.append(n)
+                ls.append(kap[k] / d)
+            indptr.append(len(nbrs))
+            inv.append(1.0 / d)
+            mesh = np.outer(w, w)
+            mesh /= d
+            W[k + 1 :, k + 1 :] += mesh
+            kap[k + 1 :] += w * kap[k] / d
+    return Elimination(
+        np.array(order, dtype=np.intp),
+        np.array(terminals, dtype=np.intp),
+        np.array(indptr, dtype=np.intp),
+        np.array(nbrs, dtype=np.intp),
+        np.array(ls, dtype=float),
+        np.array(inv, dtype=float),
+    )
 
 
 class GroundedFactor:
@@ -512,9 +633,8 @@ class GroundedFactor:
                 None if fixed_values is None else fixed_values.imag,
             )
             return real + 1j * imag
-        shape = (self.size,) if rhs is None else (self.size,) + rhs.shape[1:]
-        u = np.zeros(shape)
-        b = np.zeros((self.kept.size,) + shape[1:]) if rhs is None else rhs[self.kept]
+        u = np.zeros(self.size)
+        b = np.zeros(self.kept.size) if rhs is None else rhs[self.kept]
         if fixed_values is not None:
             u[self.fixed] = fixed_values
         if self._lu is not None:
@@ -532,28 +652,11 @@ class GroundedFactor:
         """A u on the kept vertices, summed over edges as b(x,y) (u_x - u_y)
         plus the diagonal terms times u_x.  Taking each difference before its
         weight multiplies it keeps heavy edges between nearly equal values
-        from cancelling every digit of a residual.  A vector is summed by
-        ``bincount``; a block goes through the signed incidence matrix,
-        ``_BLOCK`` columns at a time so the per-edge flows stay small."""
+        from cancelling every digit of a residual."""
         ii, jj, ww = self._edges
-        n, kept = self.size, self.kept
-        if u.ndim == 1:
-            flow = ww * (u[ii] - u[jj])
-            au = np.bincount(ii, flow, n) - np.bincount(jj, flow, n)
-            return (au + self._diagonal * u)[kept]
-        incidence = scipy.sparse.csr_array(
-            (np.tile([1.0, -1.0], ww.size), np.column_stack([ii, jj]).ravel(),
-             np.arange(0, 2 * ww.size + 1, 2)),
-            shape=(ww.size, n),
-        )
-        out = np.empty((kept.size, u.shape[1]))
-        for j in range(0, u.shape[1], _BLOCK):
-            cols = u[:, j : j + _BLOCK]
-            flow = incidence @ cols
-            flow *= ww[:, None]
-            au = incidence.T @ flow + self._diagonal[:, None] * cols
-            out[:, j : j + _BLOCK] = au[kept]
-        return out
+        flow = ww * (u[ii] - u[jj])
+        au = np.bincount(ii, flow, self.size) - np.bincount(jj, flow, self.size)
+        return (au + self._diagonal * u)[self.kept]
 
 
 def validate_graph(g: WeightedGraph, m: Measure | None = None) -> list[str]:

@@ -171,11 +171,17 @@ def serialize_document(doc: GraphDocument) -> str:
 
 
 def graph_from_document(doc: GraphDocument) -> tuple[WeightedGraph, Measure | None]:
-    """Materialize the graph and, when every vertex carries mass, the measure."""
+    """Materialize the graph and, when every vertex carries mass, the measure.
+
+    The document is one that ``parse_document`` or ``document_from_graph``
+    produced: its invariants are checked and its rows are in canonical
+    order (vertices sorted by id, each edge keyed by its ordered ids), so
+    the graph is constructed as it stands instead of validated again.
+    """
     vertices = tuple(row["id"] for row in doc.vertices)
     killing = {row["id"]: row["c"] for row in doc.vertices}
     edges = {(e["u"], e["v"]): e["b"] for e in doc.edges}
-    g = WeightedGraph.build(vertices, edges, killing)
+    g = WeightedGraph(vertices, edges, killing)
     if all("m" in row for row in doc.vertices):
         return g, Measure.from_mapping({row["id"]: row["m"] for row in doc.vertices})
     return g, None

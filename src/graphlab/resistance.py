@@ -8,7 +8,8 @@ the finite-energy functions.  Single pairs are solved by the package's
 one grounded sparse factorization (``core.GroundedFactor``); the dense
 pseudoinverse is kept alive deliberately as an independent oracle, beside
 a series-parallel reducer for the instances it can collapse and a path
-sum for trees.  The all-pairs table takes the columns of the same factor.
+sum for trees.  The all-pairs table is read in one reverse sweep over the
+record of a cancellation-free star–mesh elimination (``core.eliminate``).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .core import (
     Vertex,
     VertexFunction,
     WeightedGraph,
+    eliminate,
     quadratic_form_matrix,
 )
 from .errors import (
@@ -304,22 +306,48 @@ def free_resistance(
 def all_pairs_rho(g: WeightedGraph) -> np.ndarray:
     """Dense matrix of the square-root resistance metric.
 
-    Requires a connected graph (or killing term everywhere).  The columns
-    of one grounded factor's solve against the identity form a generalized
-    inverse G; the mean-zero shift leaves it unsymmetric, so entries use
-    r_ij = (G_ii - G_ji) + (G_jj - G_ij), differences taken first so that
-    small resistances between vertices far from the ground keep their
-    digits.
+    Requires a connected graph (or killing term everywhere).  The table is
+    read from one star–mesh elimination (``core.eliminate``) in a reverse
+    sweep: the terminal left at the end is at resistance zero from itself,
+    and a vertex v eliminated with pivot d and neighbour weights l_a = w_a/d
+    sits at
+
+        r(v, j) = 1/d + sum_a l_a r(a, j) - 1/2 sum_{a,b} l_a l_b r(a, b)
+
+    from every vertex j eliminated after it, because the resistance metric
+    is a squared Euclidean distance and v's point is the l-weighted mean of
+    its neighbours' plus an orthogonal step of squared length 1/d (the
+    recurrence of Takahashi, Fagan & Chin, 1973, for resistances instead
+    of the inverse).  Each row costs one pass over the rows of v's
+    neighbours, and every weight and pivot came out of the elimination
+    without cancellation.
     """
-    factor = GroundedFactor(g)
-    if len(factor.floating) > 1 or (factor.floating and len(g.components) > 1):
+    rec = eliminate(g)
+    if len(rec.terminals) > 1:
         raise InfiniteResistanceError(
             "all-pairs table undefined across zero-energy components"
         )
-    G = factor.solve(np.eye(g.size))
-    # G becomes G_jj - G_ij in place
-    np.subtract(np.diag(G).copy(), G, out=G)
-    r = G + G.T
+    # rows in reverse elimination order, after the terminal, so that each
+    # vertex's neighbours are rows above it
+    slots = np.concatenate([rec.terminals, rec.order[::-1]])
+    row_of = np.empty(g.size + 1, dtype=np.intp)
+    row_of[slots] = np.arange(slots.size)
+    near = row_of[rec.neighbours]
+    indptr = rec.indptr.tolist()
+    inverse_pivots = rec.inverse_pivots.tolist()
+    R = np.zeros((slots.size, slots.size))
+    steps = rec.order.size
+    for k in range(rec.terminals.size, slots.size):
+        step = steps - 1 - (k - rec.terminals.size)
+        lo, hi = indptr[step], indptr[step + 1]
+        a, l = near[lo:hi], rec.weights[lo:hi]
+        row = l @ R[a, :k]
+        # sum_{a,b} l_a l_b r(a, b), read off the row before the shift
+        row += inverse_pivots[step] - 0.5 * float(l @ row[a])
+        R[k, :k] = row
+        R[:k, k] = row
+    keep = row_of[: g.size]
+    r = R[np.ix_(keep, keep)]
     np.maximum(r, 0.0, out=r)
     return np.sqrt(r, out=r)
 

@@ -59,13 +59,18 @@ def assemble(
     kind: str = "neumann",
     boundary: Iterable[Vertex] = (),
 ) -> TruncatedOperator:
-    """Build the Neumann or Dirichlet operator for a graph and measure."""
+    """Build the Neumann or Dirichlet operator for a graph and measure.
+
+    Only the Dirichlet kind has a boundary; a nonempty ``boundary`` with
+    the Neumann kind raises ValidationError instead of being ignored."""
     if kind not in ("neumann", "dirichlet"):
         raise ValidationError([f"unknown operator kind {kind!r}"])
+    boundary = tuple(boundary)
+    if kind == "neumann" and boundary:
+        raise ValidationError(["a boundary set needs the dirichlet kind"])
     A = quadratic_form_matrix(g)
     if kind == "neumann":
         support = g.vertices
-        boundary = ()
     else:
         bset = set(boundary)
         unknown = bset - set(g.vertices)
@@ -81,7 +86,7 @@ def assemble(
     dhalf = 1.0 / np.sqrt(marr)
     sym = dhalf[:, None] * A * dhalf[None, :]
     sym = 0.5 * (sym + sym.T)
-    return TruncatedOperator(kind, tuple(support), sym, A, marr, tuple(boundary))
+    return TruncatedOperator(kind, tuple(support), sym, A, marr, boundary)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+import heapq
+import itertools
+
 import numpy as np
 import pytest
 
@@ -85,6 +89,52 @@ def unit_triangle() -> WeightedGraph:
         ("a", "b", "c"),
         {("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 1.0},
     )
+
+
+def exact_resistance(g: WeightedGraph, x, y) -> Fraction:
+    """Effective resistance between x and y in exact rationals.
+
+    Every other vertex is removed by the star-mesh transform in
+    ``Fraction`` arithmetic (smallest degree first, which keeps the fill
+    small on the built-in families); the killing term is a set of edges to
+    one extra ground vertex.  What is left is the edge x-y in parallel with
+    the series path x-ground-y.
+    """
+    ground = object()
+    cond = {v: {} for v in g.vertices}
+    cond[ground] = {}
+    for (u, v), b in g.edges.items():
+        cond[u][v] = cond[v][u] = Fraction(b)
+    for v, c in g.killing.items():
+        if c:
+            cond[v][ground] = cond[ground][v] = Fraction(c)
+    keep = {x, y, ground}
+    rank = {v: i for i, v in enumerate(g.vertices)}
+    heap = [(len(cond[v]), rank[v], v) for v in g.vertices if v not in keep]
+    heapq.heapify(heap)
+    while heap:
+        deg, _, u = heapq.heappop(heap)
+        if u not in cond or deg != len(cond[u]):
+            continue
+        star = cond.pop(u)
+        d = sum(star.values())
+        for a in star:
+            del cond[a][u]
+        for (a, wa), (b, wb) in itertools.combinations(star.items(), 2):
+            cond[a][b] = cond[b][a] = cond[a].get(b, 0) + wa * wb / d
+        for a in star:
+            if a not in keep:
+                heapq.heappush(heap, (len(cond[a]), rank[a], a))
+    gx, gy = cond[x].get(ground, 0), cond[y].get(ground, 0)
+    series = gx * gy / (gx + gy) if gx and gy else 0
+    return 1 / (cond[x].get(y, 0) + series)
+
+
+def complete_graph(n: int) -> WeightedGraph:
+    """K_n with unit weights."""
+    vertices = tuple(str(i) for i in range(n))
+    edges = {(vertices[i], vertices[j]): 1.0 for i in range(n) for j in range(i + 1, n)}
+    return WeightedGraph.build(vertices, edges)
 
 
 def assert_close(actual, expected, tol=1e-12, rel=False):

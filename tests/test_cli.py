@@ -215,8 +215,23 @@ class TestExitCodes:
             ["gen", "--family", "comb:x"],
             ["gen", "--family", "ray_power:3", "--measure", "geometric:abc"],
             ["heat", "--t", "1", "--probe", "0:0,zz", "DOC"],
+            ["gen", "--family", "comb", "--levels", "-1"],
+            ["heat", "--t", "1", "--boundary", "0:0", "DOC"],
+            ["heat", "--t", "1", "--boundary", "zz", "DOC"],
+            ["spectrum", "--boundary", "0:0", "DOC"],
+            ["spectrum", "--kind", "dirichlet", "--boundary", "zz", "DOC"],
         ],
-        ids=["boundary_separator", "family_param", "measure_param", "heat_probe"],
+        ids=[
+            "boundary_separator",
+            "family_param",
+            "measure_param",
+            "heat_probe",
+            "negative_levels",
+            "neumann_boundary",
+            "neumann_unknown_boundary",
+            "spectrum_neumann_boundary",
+            "dirichlet_unknown_boundary",
+        ],
     )
     def test_malformed_argument_is_2(self, argv, comb_doc, tmp_path, capsys):
         argv = [comb_doc if a == "DOC" else a for a in argv]

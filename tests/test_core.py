@@ -15,6 +15,7 @@ from graphlab.core import (
     energy,
     energy_inner,
     energy_matrix,
+    eliminate,
     norm_o,
     quadratic_form_matrix,
     validate_graph,
@@ -247,6 +248,27 @@ class TestEnergyMatrix:
             assert np.array_equal(energy_matrix(g, extra).toarray(), A + np.diag(extra))
 
 
+class TestEliminate:
+    def test_record_points_forward_with_unit_weights(self, rng):
+        for trial in range(30):
+            killed = bool(trial % 2)
+            g = random_connected_graph(rng, 25, extra_edges=40, with_killing=killed)
+            rec = eliminate(g)
+            heart = g.size
+            # one component: the heart or, without killing term, one root
+            assert rec.terminals.size == 1 and (rec.terminals[0] == heart) == killed
+            assert sorted(rec.order.tolist() + rec.terminals.tolist()) == list(
+                range(g.size + killed)
+            )
+            rank = np.full(g.size + 1, rec.order.size)
+            rank[rec.order] = np.arange(rec.order.size)
+            for k in range(rec.order.size):
+                lo, hi = rec.indptr[k], rec.indptr[k + 1]
+                assert np.all(rank[rec.neighbours[lo:hi]] > k)
+                assert abs(rec.weights[lo:hi].sum() - 1.0) <= 1e-14
+            assert np.all(rec.inverse_pivots > 0)
+
+
 class TestGroundedFactor:
     def test_dirichlet_block_matches_dense_solve(self, rng):
         for _ in range(30):
@@ -292,15 +314,6 @@ class TestGroundedFactor:
             factor = GroundedFactor(g, fixed=[0, g.index[f"{n}:0"]])
             u = factor.solve(fixed_values=np.array([1.0, -1.0]))
             assert u.max() <= 1.0 + 1e-12 and u.min() >= -1.0 - 1e-12, n
-
-    def test_block_solve_matches_column_solves(self, rng):
-        g = random_connected_graph(rng, 10, with_killing=True)
-        factor = GroundedFactor(g, potential=rng.uniform(0.0, 1.0, 10))
-        rhs = rng.standard_normal((10, 4))
-        block = factor.solve(rhs)
-        for k in range(4):
-            col = factor.solve(rhs[:, k])
-            assert np.abs(block[:, k] - col).max() <= 1e-13 * (1 + np.abs(col).max())
 
     def test_pivot_guard_refuses_comb_100(self):
         g = make(FamilySpec("comb")).build_ball(100).graph

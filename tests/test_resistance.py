@@ -22,7 +22,14 @@ from graphlab.resistance import (
     series_parallel_resistance,
 )
 
-from conftest import assert_close, path_graph, random_connected_graph, random_tree
+from conftest import (
+    assert_close,
+    complete_graph,
+    exact_resistance,
+    path_graph,
+    random_connected_graph,
+    random_tree,
+)
 
 
 def assert_same_minimizer(g, a, b, tol=1e-9):
@@ -193,6 +200,32 @@ class TestAllPairs:
         assert np.abs(got - want).max() <= 1e-12 * want.max()
         # the cross-component entries couple through the killing term only
         assert np.all(got[:3, 3:] > 0)
+
+    def test_twin_rays_36_against_exact_elimination(self):
+        # spine weights 2^0..2^35 beside unit rungs: the smallest
+        # resistances are ~2^-35 next to entries near 1
+        g = make(FamilySpec("twin_rays")).build_ball(36).graph
+        table = all_pairs_rho(g) ** 2
+        for x, y in (("34:0", "35:0"), ("35:1", "36:1"), ("0:0", "36:1"), ("0:0", "0:1")):
+            exact = exact_resistance(g, x, y)
+            got = table[g.index[x], g.index[y]]
+            assert abs(got - float(exact)) <= 1e-12 * float(exact), (x, y)
+
+    @pytest.mark.parametrize("n", [2, 3, 60])
+    def test_complete_graph(self, n):
+        # past K_2 the first pivot's degree squared exceeds n, so the whole
+        # graph goes through the dense block
+        rho2 = all_pairs_rho(complete_graph(n)) ** 2
+        off = ~np.eye(n, dtype=bool)
+        assert np.all(np.abs(rho2[off] - 2.0 / n) <= 1e-12 * (2.0 / n))
+        assert np.all(np.diag(rho2) == 0.0)
+
+    def test_repeated_calls_are_byte_identical(self, rng):
+        for g in (
+            make(FamilySpec("triangle_ladder")).build_ball(12).graph,
+            random_connected_graph(rng, 40, extra_edges=60, with_killing=True),
+        ):
+            assert all_pairs_rho(g).tobytes() == all_pairs_rho(g).tobytes()
 
 
 class TestAnchoredMetric:
