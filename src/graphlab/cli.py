@@ -28,7 +28,7 @@ from .document import (
     load_graph,
     serialize_document,
 )
-from .errors import GraphlabError, ValidationError
+from .errors import GraphlabError
 from .families import FamilySpec, make, parse_family_spec
 from .harmonic import (
     DirichletProblem,
@@ -120,8 +120,6 @@ def _measure_or_unit(g, m):
 
 
 def cmd_gen(args) -> int:
-    if args.levels < 0:
-        raise ValidationError([f"--levels must be nonnegative, got {args.levels}"])
     spec = _family_from_args(args)
     fam = make(spec)
     ball = fam.build_ball(args.levels)

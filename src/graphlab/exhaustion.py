@@ -21,6 +21,8 @@ from .errors import UnknownVertexError, ValidationError
 def hop_distances(g: WeightedGraph, o: Vertex, n: int | None = None) -> dict:
     """Hop count from ``o`` to every vertex within ``n`` hops (every
     reachable vertex when ``n`` is None), by breadth-first search."""
+    if n is not None and n < 0:
+        raise ValidationError([f"hop radius must be nonnegative, got {n}"])
     if o not in g.index:
         raise UnknownVertexError(repr(o))
     dist = {o: 0}
@@ -165,7 +167,7 @@ class GraphFamily:
     ``build_ball(n)`` must satisfy: vertex sets increase with ``n``, edge
     weights agree on common pairs, and the frontier of level ``n`` is
     exactly the set of level-``n`` vertices adjacent to new vertices at
-    level ``n``+1.
+    level ``n``+1.  A negative ``n`` raises ValidationError.
     """
 
     name: str

@@ -1,11 +1,13 @@
 """Named graph families with certified analytic facts.
 
-Each family builds consistent exhaustion balls and ships the closed-form
-knowledge that finite computation cannot recover: diameter bounds, tail
-sums, separated sets, and per-condition compactness verdicts.  Vertex
-identifiers encode family coordinates as strings (tooth ``n``, depth
-``k`` becomes ``"n:k"``) so examples stay addressable from the command
-line.
+Each family supplies ``ball_at(n) -> (graph, frontier)`` and the
+closed-form knowledge that finite computation cannot recover: diameter
+bounds, tail sums, separated sets, and per-condition compactness
+verdicts.  One builder, ``_exhaustion``, turns ``ball_at`` into the
+family's ``build_ball``: it memoises every ball, refuses negative levels
+and attaches the measure rule.  Vertex identifiers encode family
+coordinates as strings (tooth ``n``, depth ``k`` becomes ``"n:k"``) so
+examples stay addressable from the command line.
 """
 
 from __future__ import annotations
@@ -19,8 +21,15 @@ import numpy as np
 from scipy.special import zeta
 
 from .core import Measure, Vertex, VertexFunction, WeightedGraph
-from .errors import FamilyError
-from .exhaustion import AnalyticFacts, Ball, GraphFamily, ball as hop_ball, hop_distances
+from .errors import FamilyError, ValidationError
+from .exhaustion import (
+    AnalyticFacts,
+    Ball,
+    GraphFamily,
+    ball as hop_ball,
+    hop_distances,
+    induced_subgraph,
+)
 
 FAMILY_NAMES = (
     "finite_path",
@@ -54,17 +63,17 @@ def _measure_for(
     spec: FamilySpec,
     graph: WeightedGraph,
     origin: Vertex,
-    neighbor_view: WeightedGraph,
+    deeper: Callable[[], WeightedGraph],
 ) -> Measure:
     """Measure on a ball under the family spec's measure rule.
 
-    ``neighbor_view`` is one level deeper so canonical masses see every
-    neighbor of the ball's vertices.
+    Canonical masses count every neighbor, including the ones one level
+    deeper, so that rule alone calls ``deeper`` for the next ball's graph.
     """
     if spec.measure == "unit":
         return Measure.from_mapping({v: 1.0 for v in graph.vertices})
     if spec.measure == "canonical":
-        return Measure.canonical(neighbor_view).restrict(graph.vertices)
+        return Measure.canonical(deeper()).restrict(graph.vertices)
     if spec.measure == "geometric":
         q = spec.measure_param
         if q is None or not (0 < q < 1):
@@ -72,6 +81,45 @@ def _measure_for(
         dist = hop_distances(graph, origin)
         return Measure.from_mapping({v: q ** dist[v] for v in graph.vertices})
     raise FamilyError(f"unknown measure rule {spec.measure!r}")
+
+
+_BallAt = Callable[[int], tuple[WeightedGraph, frozenset]]
+
+
+def _exhaustion(
+    spec: FamilySpec,
+    name: str,
+    origin: Vertex,
+    ball_at: _BallAt,
+    facts: AnalyticFacts,
+    spine: Callable[[int], Vertex] | None = None,
+) -> GraphFamily:
+    """A family whose ball ``n`` is ``ball_at(n)`` with the spec's measure.
+
+    Every ``(graph, frontier)`` is built once; ball ``n``+1's graph is read
+    only when the measure rule needs it.
+    """
+    ball_at = lru_cache(maxsize=None)(ball_at)
+
+    @lru_cache(maxsize=None)
+    def build_ball(n: int) -> Ball:
+        if n < 0:
+            raise ValidationError([f"exhaustion level must be nonnegative, got {n}"])
+        graph, frontier = ball_at(n)
+        m = _measure_for(spec, graph, origin, lambda: ball_at(n + 1)[0])
+        return Ball(graph, frontier, m)
+
+    return GraphFamily(name, origin, build_ball, facts, spine)
+
+
+def _hop_balls(g: WeightedGraph, origin: Vertex) -> _BallAt:
+    """Balls of hop radius ``n`` around ``origin`` in a finite graph."""
+
+    def ball_at(n: int) -> tuple[WeightedGraph, frozenset]:
+        members, frontier = hop_ball(g, origin, n)
+        return induced_subgraph(g, members), frozenset(frontier)
+
+    return ball_at
 
 
 def _ray_graph(p: float, top: int) -> WeightedGraph:
@@ -87,13 +135,8 @@ def _make_ray_power(spec: FamilySpec) -> GraphFamily:
     (p,) = spec.params
     p = float(p)
 
-    @lru_cache(maxsize=None)
-    def build(n: int) -> Ball:
-        graph = _ray_graph(p, n + 1)
-        deeper = _ray_graph(p, n + 2)
-        frontier = frozenset({str(n + 1)})
-        m = _measure_for(spec, graph, "1", deeper)
-        return Ball(graph, frontier, m)
+    def ball_at(n: int) -> tuple[WeightedGraph, frozenset]:
+        return _ray_graph(p, n + 1), frozenset({str(n + 1)})
 
     facts_kwargs: dict = {"is_tree": True, "locally_finite": True}
     if p > 1:
@@ -125,18 +168,14 @@ def _make_ray_power(spec: FamilySpec) -> GraphFamily:
         facts_kwargs.setdefault("total_measure", {})["geometric"] = 1.0 / (
             1.0 - spec.measure_param
         )
-    return GraphFamily(
-        name=f"ray_power({p:g})",
-        origin="1",
-        build_ball=build,
-        facts=AnalyticFacts(**facts_kwargs),
+    return _exhaustion(
+        spec, f"ray_power({p:g})", "1", ball_at, AnalyticFacts(**facts_kwargs),
         spine=lambda n: str(n + 1),
     )
 
 
 def _make_comb(spec: FamilySpec) -> GraphFamily:
-    @lru_cache(maxsize=None)
-    def graph_at(r: int) -> WeightedGraph:
+    def ball_at(r: int) -> tuple[WeightedGraph, frozenset]:
         vertices = []
         edges = {}
         for n in range(r + 1):
@@ -146,16 +185,9 @@ def _make_comb(spec: FamilySpec) -> GraphFamily:
                     edges[(f"{n}:{k - 1}", f"{n}:{k}")] = 2.0**k
             if n >= 1:
                 edges[(f"{n - 1}:0", f"{n}:0")] = 2.0**n
-        return WeightedGraph(
-            tuple(vertices), edges, {v: 0.0 for v in vertices}
-        )
-
-    @lru_cache(maxsize=None)
-    def build(r: int) -> Ball:
-        graph = graph_at(r)
-        frontier = frozenset(v for v in graph.vertices if _coord_sum(v) == r)
-        m = _measure_for(spec, graph, "0:0", graph_at(r + 1))
-        return Ball(graph, frontier, m)
+        graph = WeightedGraph(tuple(vertices), edges, {v: 0.0 for v in vertices})
+        # the tips n:(r-n) of the teeth and of the spine grow at level r+1
+        return graph, frozenset(f"{n}:{r - n}" for n in range(r + 1))
 
     facts = AnalyticFacts(
         is_tree=True,
@@ -170,23 +202,11 @@ def _make_comb(spec: FamilySpec) -> GraphFamily:
             "D": (True, "finite path-metric diameter bounds the resistance diameter"),
         },
     )
-    return GraphFamily(
-        name="comb",
-        origin="0:0",
-        build_ball=build,
-        facts=facts,
-        spine=lambda n: f"{n}:0",
-    )
-
-
-def _coord_sum(label: str) -> int:
-    a, b = label.split(":")
-    return int(a) + int(b)
+    return _exhaustion(spec, "comb", "0:0", ball_at, facts, spine=lambda n: f"{n}:0")
 
 
 def _make_triangle_ladder(spec: FamilySpec) -> GraphFamily:
-    @lru_cache(maxsize=None)
-    def graph_at(L: int) -> WeightedGraph:
+    def ball_at(L: int) -> tuple[WeightedGraph, frozenset]:
         vertices = [str(n) for n in range(1, L + 2)]
         edges = {}
         for n in range(1, L + 1):
@@ -195,14 +215,8 @@ def _make_triangle_ladder(spec: FamilySpec) -> GraphFamily:
                 vertices.append(f"{n}:{k}")
                 edges[(str(n), f"{n}:{k}")] = float(n)
                 edges[(f"{n}:{k}", str(n + 1))] = float(n)
-        return WeightedGraph(tuple(vertices), edges, {v: 0.0 for v in vertices})
-
-    @lru_cache(maxsize=None)
-    def build(L: int) -> Ball:
-        graph = graph_at(L)
-        frontier = frozenset({str(L + 1)})
-        m = _measure_for(spec, graph, "1", graph_at(L + 1))
-        return Ball(graph, frontier, m)
+        graph = WeightedGraph(tuple(vertices), edges, {v: 0.0 for v in vertices})
+        return graph, frozenset({str(L + 1)})
 
     facts = AnalyticFacts(
         is_tree=False,
@@ -218,18 +232,11 @@ def _make_triangle_ladder(spec: FamilySpec) -> GraphFamily:
             "D": (True, "bounded resistance diameter"),
         },
     )
-    return GraphFamily(
-        name="triangle_ladder",
-        origin="1",
-        build_ball=build,
-        facts=facts,
-        spine=lambda n: str(n + 1),
-    )
+    return _exhaustion(spec, "triangle_ladder", "1", ball_at, facts, spine=lambda n: str(n + 1))
 
 
 def _make_twin_rays(spec: FamilySpec) -> GraphFamily:
-    @lru_cache(maxsize=None)
-    def graph_at(L: int) -> WeightedGraph:
+    def ball_at(L: int) -> tuple[WeightedGraph, frozenset]:
         vertices = []
         edges = {}
         for n in range(L + 1):
@@ -242,14 +249,8 @@ def _make_twin_rays(spec: FamilySpec) -> GraphFamily:
             if n >= 1:
                 edges[(f"{n - 1}:0", f"{n}:0")] = 2.0 ** (n - 1)
                 edges[(f"{n - 1}:1", f"{n}:1")] = 2.0 ** (n - 1)
-        return WeightedGraph(tuple(vertices), edges, {v: 0.0 for v in vertices})
-
-    @lru_cache(maxsize=None)
-    def build(L: int) -> Ball:
-        graph = graph_at(L)
-        frontier = frozenset({f"{L}:0", f"{L}:1"})
-        m = _measure_for(spec, graph, "0:0", graph_at(L + 1))
-        return Ball(graph, frontier, m)
+        graph = WeightedGraph(tuple(vertices), edges, {v: 0.0 for v in vertices})
+        return graph, frozenset({f"{L}:0", f"{L}:1"})
 
     facts = AnalyticFacts(
         is_tree=False,
@@ -265,13 +266,7 @@ def _make_twin_rays(spec: FamilySpec) -> GraphFamily:
             "D": (True, "finite path-metric diameter bounds the resistance diameter"),
         },
     )
-    return GraphFamily(
-        name="twin_rays",
-        origin="0:0",
-        build_ball=build,
-        facts=facts,
-        spine=lambda n: f"{n}:0",
-    )
+    return _exhaustion(spec, "twin_rays", "0:0", ball_at, facts, spine=lambda n: f"{n}:0")
 
 
 def _make_finite_path(spec: FamilySpec) -> GraphFamily:
@@ -282,17 +277,14 @@ def _make_finite_path(spec: FamilySpec) -> GraphFamily:
     if len(weights) != length:
         raise FamilyError("finite_path needs one weight per edge")
 
-    @lru_cache(maxsize=None)
-    def build(n: int) -> Ball:
+    def ball_at(n: int) -> tuple[WeightedGraph, frozenset]:
         top = min(n, length)
         vertices = tuple(str(k) for k in range(top + 1))
         edges = {
             (str(k), str(k + 1)): float(weights[k]) for k in range(top)
         }
         graph = WeightedGraph(vertices, edges, {v: 0.0 for v in vertices})
-        frontier = frozenset() if top == length else frozenset({str(top)})
-        m = _measure_for(spec, graph, "0", graph)
-        return Ball(graph, frontier, m)
+        return graph, frozenset() if top == length else frozenset({str(top)})
 
     facts = AnalyticFacts(
         is_tree=True,
@@ -306,80 +298,59 @@ def _make_finite_path(spec: FamilySpec) -> GraphFamily:
             "D": (True, "finite graph"),
         },
     )
-    return GraphFamily("finite_path", "0", build, facts, spine=lambda n: str(min(n, length)))
+    return _exhaustion(spec, "finite_path", "0", ball_at, facts, spine=lambda n: str(min(n, length)))
 
 
 def _make_finite_tree(spec: FamilySpec) -> GraphFamily:
     depth = int(spec.params[0])
     branching = int(spec.params[1]) if len(spec.params) > 1 else 2
     weight = float(spec.params[2]) if len(spec.params) > 2 else 1.0
-
-    @lru_cache(maxsize=None)
-    def full() -> WeightedGraph:
-        vertices = ["r"]
-        edges = {}
-        frontier_labels = ["r"]
-        for _ in range(depth):
-            nxt = []
-            for parent in frontier_labels:
-                for c in range(branching):
-                    child = parent + str(c)
-                    vertices.append(child)
-                    edges[(parent, child)] = weight
-                    nxt.append(child)
-            frontier_labels = nxt
-        return WeightedGraph(tuple(vertices), edges, {v: 0.0 for v in vertices})
-
-    @lru_cache(maxsize=None)
-    def build(n: int) -> Ball:
-        g = full()
-        members, frontier = hop_ball(g, "r", n)
-        from .exhaustion import induced_subgraph
-
-        sub = induced_subgraph(g, [v for v in g.vertices if v in members])
-        m = _measure_for(spec, sub, "r", g)
-        return Ball(sub, frozenset(frontier), m)
+    vertices = ["r"]
+    edges = {}
+    frontier_labels = ["r"]
+    for _ in range(depth):
+        nxt = []
+        for parent in frontier_labels:
+            for c in range(branching):
+                child = parent + str(c)
+                vertices.append(child)
+                edges[(parent, child)] = weight
+                nxt.append(child)
+        frontier_labels = nxt
+    full = WeightedGraph(tuple(vertices), edges, {v: 0.0 for v in vertices})
 
     facts = AnalyticFacts(
         is_tree=True,
         certified_conditions={c: (True, "finite graph") for c in "ABCD"},
     )
-    return GraphFamily("finite_tree", "r", build, facts)
+    return _exhaustion(spec, "finite_tree", "r", _hop_balls(full, "r"), facts)
 
 
 def _make_random_tree(spec: FamilySpec) -> GraphFamily:
     seed = int(spec.params[0])
     size = int(spec.params[1]) if len(spec.params) > 1 else 32
-
-    @lru_cache(maxsize=None)
-    def full() -> WeightedGraph:
-        rng = np.random.default_rng(seed)
-        vertices = tuple(str(k) for k in range(size))
-        edges = {}
-        for k in range(1, size):
-            parent = int(rng.integers(0, k))
-            w = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
-            edges[(str(parent), str(k))] = w
-        return WeightedGraph(vertices, edges, {v: 0.0 for v in vertices})
-
-    @lru_cache(maxsize=None)
-    def build(n: int) -> Ball:
-        g = full()
-        members, frontier = hop_ball(g, "0", n)
-        from .exhaustion import induced_subgraph
-
-        sub = induced_subgraph(g, [v for v in g.vertices if v in members])
-        m = _measure_for(spec, sub, "0", g)
-        return Ball(sub, frozenset(frontier), m)
+    rng = np.random.default_rng(seed)
+    vertices = tuple(str(k) for k in range(size))
+    edges = {}
+    for k in range(1, size):
+        parent = int(rng.integers(0, k))
+        w = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
+        edges[(str(parent), str(k))] = w
+    full = WeightedGraph(vertices, edges, {v: 0.0 for v in vertices})
 
     facts = AnalyticFacts(
         is_tree=True,
         certified_conditions={c: (True, "finite graph") for c in "ABCD"},
     )
-    return GraphFamily(f"random_tree({seed})", "0", build, facts)
+    return _exhaustion(spec, f"random_tree({seed})", "0", _hop_balls(full, "0"), facts)
 
 
 def _make_star_augmented(spec: FamilySpec) -> GraphFamily:
+    if spec.measure != "unit":
+        raise FamilyError(
+            "star_augmented supports only the unit measure rule "
+            "(the hub has infinitely many neighbors)"
+        )
     if not spec.params:
         base_spec = FamilySpec("ray_power", (3.0,), spec.measure, spec.measure_param)
     else:
@@ -388,8 +359,7 @@ def _make_star_augmented(spec: FamilySpec) -> GraphFamily:
             raise FamilyError("star_augmented expects a FamilySpec parameter")
     base = make(base_spec)
 
-    @lru_cache(maxsize=None)
-    def build(n: int) -> Ball:
+    def ball_at(n: int) -> tuple[WeightedGraph, frozenset]:
         inner = base.build_ball(n)
         g = inner.graph
         members, _ = hop_ball(g, base.origin, 1)
@@ -400,16 +370,9 @@ def _make_star_augmented(spec: FamilySpec) -> GraphFamily:
         for i, y in enumerate(far):
             edges[(base.origin, y)] = 2.0 ** (-i)
         graph = WeightedGraph(g.vertices, edges, dict(g.killing))
-        if spec.measure == "unit":
-            m = Measure.from_mapping({v: 1.0 for v in graph.vertices})
-        else:
-            raise FamilyError(
-                "star_augmented supports only the unit measure rule "
-                "(the hub has infinitely many neighbors)"
-            )
         # the hub keeps acquiring edges at every level, so it never leaves
         # the frontier
-        return Ball(graph, inner.frontier | {base.origin}, m)
+        return graph, inner.frontier | {base.origin}
 
     base_certs = base.facts.certified_conditions if base.facts else {}
     if not all(v for v, _ in base_certs.values()):
@@ -422,12 +385,8 @@ def _make_star_augmented(spec: FamilySpec) -> GraphFamily:
             for c in "ABCD"
         },
     )
-    return GraphFamily(
-        name=f"star_augmented[{base.name}]",
-        origin=base.origin,
-        build_ball=build,
-        facts=facts,
-        spine=base.spine,
+    return _exhaustion(
+        spec, f"star_augmented[{base.name}]", base.origin, ball_at, facts, spine=base.spine
     )
 
 

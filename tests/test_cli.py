@@ -216,6 +216,7 @@ class TestExitCodes:
             ["gen", "--family", "ray_power:3", "--measure", "geometric:abc"],
             ["heat", "--t", "1", "--probe", "0:0,zz", "DOC"],
             ["gen", "--family", "comb", "--levels", "-1"],
+            ["diagnose", "--family", "comb", "--levels", "-1"],
             ["heat", "--t", "1", "--boundary", "0:0", "DOC"],
             ["heat", "--t", "1", "--boundary", "zz", "DOC"],
             ["spectrum", "--boundary", "0:0", "DOC"],
@@ -227,6 +228,7 @@ class TestExitCodes:
             "measure_param",
             "heat_probe",
             "negative_levels",
+            "diagnose_negative_levels",
             "neumann_boundary",
             "neumann_unknown_boundary",
             "spectrum_neumann_boundary",

@@ -7,6 +7,7 @@ from graphlab.errors import UnknownVertexError, ValidationError
 from graphlab.exhaustion import (
     ball,
     check_family_consistency,
+    hop_distances,
     induced_subgraph,
     monitor,
 )
@@ -40,6 +41,14 @@ class TestBall:
     def test_unknown_origin(self):
         with pytest.raises(UnknownVertexError):
             ball(path_graph([1.0]), "zz", 1)
+
+    def test_negative_radius_refused(self):
+        # a negative radius used to read as "unlimited" and return everything
+        g = path_graph([1.0, 1.0])
+        with pytest.raises(ValidationError):
+            ball(g, "0", -1)
+        with pytest.raises(ValidationError):
+            hop_distances(g, "0", -1)
 
     def test_monotone_and_frontier_only_at_edge(self):
         g = path_graph([1.0] * 9)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from graphlab.errors import FamilyError
+from graphlab.core import WeightedGraph
+from graphlab.errors import FamilyError, ValidationError
 from graphlab.families import (
     FamilySpec,
     add_killing,
@@ -10,6 +11,7 @@ from graphlab.families import (
     parse_family_spec,
     witness_functions,
 )
+from graphlab.harmonic import capacity, default_level_ladder
 from graphlab.metrics import path_metric, verify_intrinsic
 from graphlab.resistance import resistance_finite
 
@@ -73,7 +75,7 @@ class TestMeasures:
             "star_augmented", (FamilySpec("ray_power", (3.0,), "canonical"),), "canonical"
         )
         with pytest.raises(FamilyError):
-            make(spec).build_ball(4)
+            make(spec)
 
 
 class TestWitnesses:
@@ -181,3 +183,65 @@ def test_add_killing_wraps_balls():
     g = fam.build_ball(4).graph
     assert g.killing["2"] == 0.25
     assert fam.facts is None
+
+
+STOCK_FAMILIES = (
+    "finite_path:3",
+    "finite_tree:3",
+    "random_tree:3:20",
+    "ray_power:3",
+    "comb",
+    "triangle_ladder",
+    "twin_rays",
+    "star_augmented:ray_power:3",
+)
+
+
+def _family(text, rule="unit"):
+    measure, _, q = rule.partition(":")
+    return make(parse_family_spec(text, measure, float(q) if q else None))
+
+
+@pytest.mark.parametrize(
+    "text, rule",
+    [
+        (text, rule)
+        for text in STOCK_FAMILIES
+        for rule in ("unit", "canonical", "geometric:0.5")
+        if rule == "unit" or not text.startswith("star_augmented")
+    ],
+)
+def test_family_contract(text, rule):
+    fam = _family(text, rule)
+    assert fam.build_ball.cache_info() is not None
+    for n in range(9):
+        cur, nxt = fam.build_ball(n), fam.build_ball(n + 1)
+        new = set(nxt.graph.vertices) - set(cur.graph.vertices)
+        assert set(cur.frontier) == {
+            v for v in cur.graph.vertices if any(y in new for y in nxt.graph.adjacency[v])
+        }
+        assert {v: nxt.measure[v] for v in cur.graph.vertices} == cur.measure.values
+
+
+@pytest.mark.parametrize("text", STOCK_FAMILIES)
+def test_negative_level_refused(text):
+    fam = _family(text)
+    with pytest.raises(ValidationError):
+        fam.build_ball(-1)
+    with pytest.raises(ValidationError):
+        add_killing(fam, lambda v: 1.0).build_ball(-1)
+
+
+def test_unit_ladder_builds_one_graph_per_level(monkeypatch):
+    built = []
+    init = WeightedGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    fam = make(FamilySpec("ray_power", (3.0,)))
+    levels = default_level_ladder(32)
+    monkeypatch.setattr(WeightedGraph, "__init__", counting_init)
+    capacity(fam, levels=levels)
+    assert len(built) == len(levels)
