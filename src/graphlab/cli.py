@@ -10,6 +10,11 @@ Exit codes: 0 success, 2 validation or usage error, 3 when
 
 Pair arguments name the two members with a comma and separate pairs with
 semicolons (vertex ids may contain colons), e.g. ``--probe 0:0,0:2``.
+
+CSV tables: floats as their shortest round-trip ``repr`` (``inf`` for
+either infinity), ids quoted only when they hold a comma, a quote or a
+newline; full ``heat`` lists kernel pairs i <= j in vertex order, then each
+mass, then the partial trace; all-pairs ``metric`` lists pairs i < j.
 """
 
 from __future__ import annotations
@@ -18,8 +23,10 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
+from itertools import chain, repeat
+
+import numpy as np
 
 from .core import Measure
 from .diagnose import diagnose_family, diagnose_graph
@@ -59,19 +66,26 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], columns: list) -> str:
+    """CSV of ``header`` then the rows zipped from ``columns``, in one call."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return INF_MARKER if math.isinf(x) else repr(x)
-    return x
+def _float_strings(values) -> list[str]:
+    """Each value's shortest round-trip repr, with INF_MARKER for +-inf."""
+    arr = np.asarray(values, dtype=float)
+    out = list(map(float.__repr__, arr.tolist()))
+    for k in np.flatnonzero(np.isinf(arr)).tolist():
+        out[k] = INF_MARKER
+    return out
+
+
+def _take(ids: list[str], idx: np.ndarray) -> list[str]:
+    return list(map(ids.__getitem__, idx.tolist()))
 
 
 def _parse_pairs(text: str) -> list[tuple[str, str]]:
@@ -152,9 +166,14 @@ def cmd_metric(args) -> int:
         length = LengthFunction.killing()
     else:
         raise GraphlabError(f"unknown length {args.length!r}")
-    table = path_metric(g, length, None if args.source is None else args.source)
-    rows = [[x, y, v] for x, y, v in table.rows()]
-    _write(args.output, _csv_text(["x", "y", "distance"], rows))
+    table = path_metric(g, length, args.source)
+    ids = [str(v) for v in table.vertices]
+    if table.source is not None:
+        xs, ys, dist = repeat(str(table.source)), ids, table.dist[0]
+    else:
+        i, j = np.triu_indices(len(ids), 1)
+        xs, ys, dist = _take(ids, i), _take(ids, j), table.dist[i, j]
+    _write(args.output, _csv_text(["x", "y", "distance"], [xs, ys, _float_strings(dist)]))
     return EXIT_OK
 
 
@@ -188,8 +207,8 @@ def cmd_spectrum(args) -> int:
     boundary = [b for b in (args.boundary or "").split(",") if b]
     op = assemble(g, _measure_or_unit(g, m), args.kind, boundary)
     spec = spectrum(op)
-    rows = [[k, float(lam)] for k, lam in enumerate(spec.eigenvalues)]
-    _write(args.output, _csv_text(["index", "eigenvalue"], rows))
+    columns = [range(op.size), _float_strings(spec.eigenvalues)]
+    _write(args.output, _csv_text(["index", "eigenvalue"], columns))
     return EXIT_OK
 
 
@@ -198,18 +217,22 @@ def cmd_heat(args) -> int:
     boundary = [b for b in (args.boundary or "").split(",") if b]
     op = assemble(g, _measure_or_unit(g, m), args.kind, boundary)
     result = heat(op, args.t)
-    rows = []
+    n = op.size
+    ids = [str(v) for v in op.vertices]
     if args.probe:
-        for x, y in _parse_pairs(args.probe):
-            rows.append(["kernel", x, y, result.entry(x, y)])
+        pairs = _parse_pairs(args.probe)
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        kernel = [result.entry(x, y) for x, y in pairs]
     else:
-        for i, x in enumerate(op.vertices):
-            for j in range(i, op.size):
-                rows.append(["kernel", x, op.vertices[j], float(result.kernel[i, j])])
-    for i, x in enumerate(op.vertices):
-        rows.append(["mass", x, "", float(result.mass[i])])
-    rows.append(["partial_trace", "", "", result.partial_trace])
-    _write(args.output, _csv_text(["quantity", "x", "y", "value"], rows))
+        i, j = np.triu_indices(n)
+        xs, ys, kernel = _take(ids, i), _take(ids, j), result.kernel[i, j]
+    columns = [
+        chain(repeat("kernel", len(xs)), repeat("mass", n), ["partial_trace"]),
+        chain(xs, ids, [""]),
+        chain(ys, repeat("", n), [""]),
+        _float_strings(np.concatenate([kernel, result.mass, [result.partial_trace]])),
+    ]
+    _write(args.output, _csv_text(["quantity", "x", "y", "value"], columns))
     return EXIT_OK
 
 
@@ -217,8 +240,9 @@ def cmd_dirichlet(args) -> int:
     g, _ = load_graph(args.graph)
     values = _parse_assignments(args.boundary)
     u = solve_dirichlet(DirichletProblem(g, values))
-    rows = [[str(v), float(complex(u[v]).real)] for v in g.vertices]
-    _write(args.output, _csv_text(["vertex", "value"], rows))
+    real = np.real([u[v] for v in g.vertices])
+    columns = [[str(v) for v in g.vertices], _float_strings(real)]
+    _write(args.output, _csv_text(["vertex", "value"], columns))
     return EXIT_OK
 
 

@@ -83,6 +83,28 @@ def _measure_for(
     raise FamilyError(f"unknown measure rule {spec.measure!r}")
 
 
+def _integer(spec: FamilySpec, k: int, what: str, low: int, default: int | None = None) -> int:
+    """Parameter ``k`` of the spec as an integer >= ``low`` (``default`` if absent)."""
+    if k >= len(spec.params):
+        return default
+    x = spec.params[k]
+    if not (isinstance(x, (int, float)) and float(x).is_integer() and x >= low):
+        raise FamilyError(f"{spec.name} {what} must be an integer >= {low}, got {x!r}")
+    return int(x)
+
+
+def _real(spec: FamilySpec, k: int, what: str, positive: bool = False,
+          default: float | None = None) -> float:
+    """Parameter ``k`` of the spec as a finite (optionally positive) real."""
+    if k >= len(spec.params):
+        return default
+    x = spec.params[k]
+    if not (isinstance(x, (int, float)) and math.isfinite(x) and (x > 0 or not positive)):
+        need = "a finite positive number" if positive else "a finite number"
+        raise FamilyError(f"{spec.name} {what} must be {need}, got {x!r}")
+    return float(x)
+
+
 _BallAt = Callable[[int], tuple[WeightedGraph, frozenset]]
 
 
@@ -132,8 +154,7 @@ def _ray_graph(p: float, top: int) -> WeightedGraph:
 
 
 def _make_ray_power(spec: FamilySpec) -> GraphFamily:
-    (p,) = spec.params
-    p = float(p)
+    p = _real(spec, 0, "exponent")
 
     def ball_at(n: int) -> tuple[WeightedGraph, frozenset]:
         return _ray_graph(p, n + 1), frozenset({str(n + 1)})
@@ -270,12 +291,12 @@ def _make_twin_rays(spec: FamilySpec) -> GraphFamily:
 
 
 def _make_finite_path(spec: FamilySpec) -> GraphFamily:
-    length = int(spec.params[0])
+    length = _integer(spec, 0, "length", 0)
     weights = spec.params[1] if len(spec.params) > 1 else None
     if weights is None:
         weights = tuple(1.0 for _ in range(length))
-    if len(weights) != length:
-        raise FamilyError("finite_path needs one weight per edge")
+    if not isinstance(weights, (tuple, list)) or len(weights) != length:
+        raise FamilyError("finite_path needs a sequence of one weight per edge")
 
     def ball_at(n: int) -> tuple[WeightedGraph, frozenset]:
         top = min(n, length)
@@ -302,9 +323,9 @@ def _make_finite_path(spec: FamilySpec) -> GraphFamily:
 
 
 def _make_finite_tree(spec: FamilySpec) -> GraphFamily:
-    depth = int(spec.params[0])
-    branching = int(spec.params[1]) if len(spec.params) > 1 else 2
-    weight = float(spec.params[2]) if len(spec.params) > 2 else 1.0
+    depth = _integer(spec, 0, "depth", 0)
+    branching = _integer(spec, 1, "branching", 1, default=2)
+    weight = _real(spec, 2, "weight", positive=True, default=1.0)
     vertices = ["r"]
     edges = {}
     frontier_labels = ["r"]
@@ -327,8 +348,8 @@ def _make_finite_tree(spec: FamilySpec) -> GraphFamily:
 
 
 def _make_random_tree(spec: FamilySpec) -> GraphFamily:
-    seed = int(spec.params[0])
-    size = int(spec.params[1]) if len(spec.params) > 1 else 32
+    seed = _integer(spec, 0, "seed", 0)
+    size = _integer(spec, 1, "size", 1, default=32)
     rng = np.random.default_rng(seed)
     vertices = tuple(str(k) for k in range(size))
     edges = {}
@@ -390,15 +411,17 @@ def _make_star_augmented(spec: FamilySpec) -> GraphFamily:
     )
 
 
+# name -> (builder, accepted form, fewest and most parameters); finite_path
+# also takes a sequence of per-edge weights from library callers
 _BUILDERS = {
-    "finite_path": _make_finite_path,
-    "finite_tree": _make_finite_tree,
-    "random_tree": _make_random_tree,
-    "ray_power": _make_ray_power,
-    "comb": _make_comb,
-    "triangle_ladder": _make_triangle_ladder,
-    "twin_rays": _make_twin_rays,
-    "star_augmented": _make_star_augmented,
+    "finite_path": (_make_finite_path, "finite_path:N", 1, 2),
+    "finite_tree": (_make_finite_tree, "finite_tree:DEPTH[:BRANCHING[:WEIGHT]]", 1, 3),
+    "random_tree": (_make_random_tree, "random_tree:SEED[:SIZE]", 1, 2),
+    "ray_power": (_make_ray_power, "ray_power:P", 1, 1),
+    "comb": (_make_comb, "comb", 0, 0),
+    "triangle_ladder": (_make_triangle_ladder, "triangle_ladder", 0, 0),
+    "twin_rays": (_make_twin_rays, "twin_rays", 0, 0),
+    "star_augmented": (_make_star_augmented, "star_augmented[:BASE]", 0, 1),
 }
 
 
@@ -408,10 +431,12 @@ def make(spec: FamilySpec) -> GraphFamily:
         raise FamilyError(f"unknown family {spec.name!r}")
     if spec.measure not in MEASURE_RULES:
         raise FamilyError(f"unknown measure rule {spec.measure!r}")
-    if spec.name == "ray_power":
-        if not spec.params:
-            raise FamilyError("ray_power needs an exponent")
-    return _BUILDERS[spec.name](spec)
+    builder, form, fewest, most = _BUILDERS[spec.name]
+    if not fewest <= len(spec.params) <= most:
+        raise FamilyError(
+            f"{spec.name} takes the form {form}, got {len(spec.params)} parameter(s)"
+        )
+    return builder(spec)
 
 
 def add_killing(fam: GraphFamily, c_fn: Callable[[Vertex], float], name: str | None = None) -> GraphFamily:

@@ -1,5 +1,7 @@
 """End-to-end command-line checks: outputs, determinism, exit codes."""
 
+import csv
+import io
 import json
 import math
 
@@ -7,7 +9,11 @@ import pytest
 
 from graphlab.cli import main
 from graphlab import cli as cli_module
+from graphlab.document import load_graph
 from graphlab.families import FamilySpec, add_killing, make
+from graphlab.harmonic import DirichletProblem, solve_dirichlet
+from graphlab.metrics import INF_MARKER, path_metric
+from graphlab.spectral import assemble, heat, spectrum
 
 
 def run(argv, tmp_path, name):
@@ -221,6 +227,11 @@ class TestExitCodes:
             ["heat", "--t", "1", "--boundary", "zz", "DOC"],
             ["spectrum", "--boundary", "0:0", "DOC"],
             ["spectrum", "--kind", "dirichlet", "--boundary", "zz", "DOC"],
+            ["gen", "--family", "twin_rays:3"],
+            ["gen", "--family", "comb:7"],
+            ["gen", "--family", "triangle_ladder:2"],
+            ["gen", "--family", "ray_power:3:9"],
+            ["gen", "--family", "finite_path:3:2"],
         ],
         ids=[
             "boundary_separator",
@@ -233,6 +244,11 @@ class TestExitCodes:
             "neumann_unknown_boundary",
             "spectrum_neumann_boundary",
             "dirichlet_unknown_boundary",
+            "twin_rays_arity",
+            "comb_arity",
+            "triangle_ladder_arity",
+            "ray_power_arity",
+            "finite_path_weights",
         ],
     )
     def test_malformed_argument_is_2(self, argv, comb_doc, tmp_path, capsys):
@@ -241,6 +257,26 @@ class TestExitCodes:
         assert code == 2 and data == b""
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "family, parameter",
+        [
+            ("finite_path:3.5", "length"),
+            ("finite_tree:-1", "depth"),
+            ("finite_tree:2:0", "branching"),
+            ("finite_tree:2:2:-1", "weight"),
+            ("random_tree:3:0", "size"),
+            ("random_tree:3:-4", "size"),
+            ("random_tree:-1:5", "seed"),
+            ("ray_power:inf", "exponent"),
+        ],
+    )
+    def test_family_parameter_out_of_range_is_2(self, family, parameter, tmp_path, capsys):
+        code, data = run(["gen", "--family", family], tmp_path, "out")
+        assert code == 2 and data == b""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f" {parameter} must be " in err[0]
 
     def test_inconclusive_is_3_when_demanded(self, tmp_path, monkeypatch):
         # a family without analytic facts leaves conditions inconclusive
@@ -305,3 +341,93 @@ class TestDeterminism:
         _, a = run(["gen", "--family", "twin_rays", "--levels", "5"], tmp_path, "a.json")
         _, b = run(["gen", "--family", "twin_rays", "--levels", "5"], tmp_path, "b.json")
         assert a == b
+
+
+def _row_by_row_csv(header, rows):
+    """The CSV format written one row at a time: floats as repr, +-inf as
+    the marker, every other cell through the csv module."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(
+            [(INF_MARKER if math.isinf(x) else repr(x)) if isinstance(x, float) else x
+             for x in row]
+        )
+    return buf.getvalue().encode()
+
+
+def _metric_rows(g, m, source=None):
+    return ["x", "y", "distance"], list(path_metric(g, source=source).rows())
+
+
+def _spectrum_rows(g, m):
+    lam = spectrum(assemble(g, m)).eigenvalues
+    return ["index", "eigenvalue"], [[k, float(x)] for k, x in enumerate(lam)]
+
+
+def _heat_rows(g, m, probe=None):
+    op = assemble(g, m)
+    result = heat(op, 0.5)
+    rows = []
+    if probe:
+        rows += [["kernel", x, y, result.entry(x, y)] for x, y in probe]
+    else:
+        for i, x in enumerate(op.vertices):
+            for j in range(i, op.size):
+                rows.append(["kernel", x, op.vertices[j], float(result.kernel[i, j])])
+    rows += [["mass", x, "", float(result.mass[i])] for i, x in enumerate(op.vertices)]
+    rows.append(["partial_trace", "", "", result.partial_trace])
+    return ["quantity", "x", "y", "value"], rows
+
+
+def _dirichlet_rows(g, m):
+    u = solve_dirichlet(DirichletProblem(g, {'q"x': 1.0}))
+    return ["vertex", "value"], [[str(v), float(complex(u[v]).real)] for v in g.vertices]
+
+
+class TestCsvFormat:
+    """Every CSV table, byte for byte against the row-by-row format, on ids
+    the csv module must quote, two components (infinite distances) and a
+    killing term."""
+
+    @pytest.fixture
+    def quoting_doc(self, tmp_path):
+        ids = ["a,b", 'q"x', " lead", "plain", "z:1"]
+        kills = [0.0, 0.5, 0.0, 0.0, 0.25]
+        masses = [1.0, 2.0, 0.5, 1.0, 1.5]
+        edges = [("a,b", 'q"x', 2.0), ('q"x', " lead", 0.3), ("plain", "z:1", 5.0)]
+        doc = {
+            "format_version": 1,
+            "vertices": [{"id": v, "c": c, "m": w} for v, c, w in zip(ids, kills, masses)],
+            "edges": [dict(zip("uvb", (*sorted((u, v)), b))) for u, v, b in edges],
+            "metadata": {},
+        }
+        p = tmp_path / "quoting.json"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    @pytest.mark.parametrize(
+        "argv, reference",
+        [
+            (["metric"], _metric_rows),
+            (["metric", "--source", 'q"x'], lambda g, m: _metric_rows(g, m, 'q"x')),
+            (["spectrum"], _spectrum_rows),
+            (["heat", "--t", "0.5"], _heat_rows),
+            (
+                ["heat", "--t", "0.5", "--probe", 'q"x,z:1;z:1, lead'],
+                lambda g, m: _heat_rows(g, m, [('q"x', "z:1"), ("z:1", " lead")]),
+            ),
+            (["dirichlet", "--boundary", 'q"x=1'], _dirichlet_rows),
+        ],
+        ids=["metric", "metric_source", "spectrum", "heat_full", "heat_probe", "dirichlet"],
+    )
+    def test_table_bytes(self, argv, reference, quoting_doc, tmp_path):
+        code, data = run(argv + [quoting_doc], tmp_path, "out.csv")
+        assert code == 0
+        g, m = load_graph(quoting_doc)
+        assert data == _row_by_row_csv(*reference(g, m))
+        if argv[0] != "spectrum":
+            assert b'"a,b"' in data and b'"q""x"' in data
+        if argv[0] == "metric":
+            assert b",inf\n" in data
