@@ -10,6 +10,8 @@ Exit codes: 0 success, 2 validation or usage error, 3 when
 
 Pair arguments name the two members with a comma and separate pairs with
 semicolons (vertex ids may contain colons), e.g. ``--probe 0:0,0:2``.
+Comma-separated lists take the tables' ``csv`` quoting: ``"a,b"`` names
+an id holding a comma, and a quoted ``" lead=1"`` keeps its leading space.
 
 CSV tables: floats as their shortest round-trip ``repr`` (``inf`` for
 either infinity), ids quoted only when they hold a comma, a quote or a
@@ -88,24 +90,33 @@ def _take(ids: list[str], idx: np.ndarray) -> list[str]:
     return list(map(ids.__getitem__, idx.tolist()))
 
 
+def _fields(text: str, skip_spaces: bool = False) -> list[str]:
+    """Fields of a comma-separated argument in the tables' ``csv`` quoting
+    (``"a,b"`` is one field); ``skip_spaces`` drops unquoted leading spaces."""
+    return next(csv.reader([text], skipinitialspace=skip_spaces), [])
+
+
 def _parse_pairs(text: str) -> list[tuple[str, str]]:
     pairs = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        members = chunk.split(",")
+        members = _fields(chunk)
         if len(members) != 2:
             raise GraphlabError(f"pair {chunk!r} must have exactly two members")
         pairs.append((members[0], members[1]))
     return pairs
 
 
+def _parse_ids(text: str) -> list[str]:
+    return [v for v in _fields(text) if v]
+
+
 def _parse_assignments(text: str) -> dict[str, float]:
     out = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
+    for chunk in _fields(text, skip_spaces=True):
+        if not chunk.strip():
             continue
         if "=" not in chunk:
             raise GraphlabError(f"boundary assignment {chunk!r} needs id=value")
@@ -204,7 +215,7 @@ def cmd_resistance(args) -> int:
 
 def cmd_spectrum(args) -> int:
     g, m = load_graph(args.graph)
-    boundary = [b for b in (args.boundary or "").split(",") if b]
+    boundary = _parse_ids(args.boundary or "")
     op = assemble(g, _measure_or_unit(g, m), args.kind, boundary)
     spec = spectrum(op)
     columns = [range(op.size), _float_strings(spec.eigenvalues)]
@@ -214,7 +225,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_heat(args) -> int:
     g, m = load_graph(args.graph)
-    boundary = [b for b in (args.boundary or "").split(",") if b]
+    boundary = _parse_ids(args.boundary or "")
     op = assemble(g, _measure_or_unit(g, m), args.kind, boundary)
     result = heat(op, args.t)
     n = op.size
@@ -267,7 +278,7 @@ def cmd_capacity(args) -> int:
         if not args.graph or not args.origin or not args.ground:
             raise GraphlabError("capacity on a file needs --origin and --ground")
         g, _ = load_graph(args.graph)
-        targets = [t for t in args.ground.split(",") if t]
+        targets = _parse_ids(args.ground)
         payload = {
             "origin": args.origin,
             "ground": targets,

@@ -15,14 +15,12 @@ is the associated formal Laplacian; dividing by a vertex measure ``m``
 gives its measure-weighted variant.  Everything here is immutable and
 pure, so shared instances are safe to use concurrently.
 
-Every single-shot linear solve of the package, apart from the dense
-pseudoinverse kept as an oracle, goes through one sparse energy matrix and
-one grounded factorization of it (``GroundedFactor``), followed by one step
-of iterative refinement against a residual summed edge by edge.
-``eliminate`` records one star–mesh elimination of the graph in edge form,
-with the killing term as edges to a heart terminal; its pivots are sums of
-positive weights, so no digit cancels.  The all-pairs resistance table is
-read from that record.
+Every linear solve of the package, apart from the dense pseudoinverse
+kept as an oracle, reads one routine: ``eliminate`` records a star–mesh
+elimination in edge form, with the killing term as edges to a heart
+terminal, whose pivots are sums of positive weights, so no digit cancels.
+``GroundedFactor`` solves by substitution over that record; the
+all-pairs resistance table and Schur-complement capacities read it too.
 """
 
 from __future__ import annotations
@@ -31,20 +29,13 @@ from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 import heapq
+from itertools import accumulate, chain
 import math
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.csgraph import connected_components
-import scipy.sparse.linalg
 
-from .errors import (
-    DomainMismatchError,
-    IllConditionedError,
-    SingularSystemError,
-    UnknownVertexError,
-    ValidationError,
-)
+from .errors import DomainMismatchError, UnknownVertexError, ValidationError
 
 Vertex = Hashable
 
@@ -375,186 +366,220 @@ def quadratic_form_matrix(g: WeightedGraph) -> np.ndarray:
     return energy_matrix(g).toarray()
 
 
-def _energy_block(
-    g: WeightedGraph, keep: np.ndarray, potential: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Principal block of the energy matrix (plus ``potential`` on the
-    diagonal) on the vertices where ``keep`` is true, as compressed arrays
-    (data, indices, indptr).
-
-    The block is symmetric, so the arrays read the same as CSR and CSC.
-    Assembling them directly from the edge arrays costs a fraction of
-    building a sparse matrix and slicing it, which dominates on small graphs.
-    """
-    n = g.size
-    ii, jj, ww = g.edge_arrays
-    diag = np.bincount(np.concatenate([ii, jj]), np.concatenate([ww, ww]), n)
-    diag = diag + g.killing_array
-    if potential is not None:
-        diag = diag + potential
-    pos = np.cumsum(keep) - 1
-    inner = keep[ii] & keep[jj]
-    span = pos[keep]
-    rows = np.concatenate([pos[ii[inner]], pos[jj[inner]], span])
-    cols = np.concatenate([pos[jj[inner]], pos[ii[inner]], span])
-    vals = np.concatenate([-ww[inner], -ww[inner], diag[keep]])
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(span.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=span.size), out=indptr[1:])
-    return vals[order], cols[order], indptr
-
-
 def energy_matrix(
     g: WeightedGraph, potential: np.ndarray | None = None
 ) -> scipy.sparse.csr_matrix:
     """Sparse (CSR) energy matrix, with ``potential`` (one entry per vertex,
     in vertex order) added to the diagonal."""
-    keep = np.ones(g.size, dtype=bool)
-    return scipy.sparse.csr_matrix(_energy_block(g, keep, potential), shape=(g.size,) * 2)
+    n = g.size
+    ii, jj, ww = g.edge_arrays
+    diag = np.bincount(np.concatenate([ii, jj]), np.concatenate([ww, ww]), n) + g.killing_array
+    if potential is not None:
+        diag = diag + potential
+    span = np.arange(n)
+    rows, cols = np.concatenate([ii, jj, span]), np.concatenate([jj, ii, span])
+    return scipy.sparse.csr_matrix((np.concatenate([-ww, -ww, diag]), (rows, cols)), shape=(n, n))
 
 
 @dataclass(frozen=True)
 class Elimination:
     """Record of one star–mesh elimination of a weighted graph.
 
-    Vertex index n (the graph's size) stands for the heart: the killing
-    term at a vertex is an edge from it to the heart, which is never
-    eliminated.  Step k removed vertex ``order[k]`` with pivot d = sum of
-    its edge weights (heart edge included); its neighbours at that moment
-    are ``neighbours[indptr[k]:indptr[k + 1]]``, every one of them
-    eliminated later or a terminal, with ``weights`` l_a = w_a / d beside
-    them and ``inverse_pivots[k]`` = 1/d.  ``terminals`` are the vertices
-    never eliminated: the heart first when the graph carries killing term,
-    then the last vertex of each component without killing term (its pivot
-    would be zero).
+    Index n (the graph's size) is the heart: killing term is an edge to it.
+    Step k removed ``order[k]``; ``stars[k]`` maps its neighbours then (each
+    eliminated later or a terminal) to their weights, with sum ``pivots[k]``.
+    ``terminals`` were never eliminated: the heart (if there is killing
+    term), the fixed vertices in index order, then the last vertex of each
+    component with no killing term and no fixed vertex (its pivot is zero).
+    ``schur_diagonal`` gives each terminal's total edge weight in the Schur
+    complement onto the terminals.  As the unit lower factor L, row k holds
+    ``neighbours[indptr[k]:indptr[k + 1]]`` with ``weights`` l_a = w_a / d
+    (L's entries are -l_a) and ``inverse_pivots[k]`` = 1/d.
     """
 
     order: np.ndarray
     terminals: np.ndarray
-    indptr: np.ndarray
-    neighbours: np.ndarray
-    weights: np.ndarray
-    inverse_pivots: np.ndarray
+    stars: list[dict[int, float]] = field(repr=False)
+    pivots: list[float] = field(repr=False)
+    schur_diagonal: np.ndarray
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        return np.cumsum([0, *map(len, self.stars)])
+
+    @cached_property
+    def neighbours(self) -> np.ndarray:
+        return np.fromiter(chain.from_iterable(self.stars), np.intp, self.indptr[-1])
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        w = np.fromiter(chain.from_iterable(map(dict.values, self.stars)), float, self.indptr[-1])
+        return w / np.repeat(self.pivots, np.diff(self.indptr))
+
+    @cached_property
+    def inverse_pivots(self) -> np.ndarray:
+        return 1.0 / np.array(self.pivots)
 
 
-def eliminate(g: WeightedGraph) -> Elimination:
-    """Eliminate every vertex by the star–mesh transform (Kron reduction).
+def eliminate(
+    g: WeightedGraph,
+    fixed: Iterable[int] = (),
+    potential: np.ndarray | None = None,
+) -> Elimination:
+    """Eliminate every vertex but the ``fixed`` ones by the star–mesh
+    transform (Kron reduction), with ``potential`` added to the killing term.
 
     Removing u with neighbour weights w_a and pivot d joins each pair of
     its neighbours by an edge of weight w_a w_b / d (an edge to the heart
-    is killing term).  Every quantity is a sum or product of positives, so
-    no digit cancels whatever the weights (GTH elimination: Grassmann,
-    Taksar & Heyman, Oper. Res. 33, 1985).  Vertices go in min-degree
-    order, ties broken by index.  Once the next pivot's degree squared
-    exceeds the number of vertices left, fill has made the rest dense, and
-    it is eliminated as one numpy block by the same rules, in the order of
-    its degrees at that moment.
+    is killing term): sums and products of positives only, so no digit
+    cancels (GTH elimination: Grassmann, Taksar & Heyman, Oper. Res. 33,
+    1985).  Vertices of degree at most two go first, from a stack (leaf and
+    series moves never raise a degree), then the rest by min degree, ties
+    by index.  Once the next pivot's neighbours still to be eliminated,
+    squared, outnumber the vertices left, fill has made the rest dense: it
+    goes as one numpy block by the same rules, ordered by degree.
     """
     n = g.size
-    ii, jj, ww = g.edge_arrays
+    idx = g.index
     adj: list[dict[int, float]] = [{} for _ in range(n)]
-    for i, j, w in zip(ii.tolist(), jj.tolist(), ww.tolist()):
+    for (x, y), w in g.edges.items():
+        i, j = idx[x], idx[y]
         adj[i][j] = w
         adj[j][i] = w
-    kill = g.killing_array.tolist()
+    kill = list(map(g.killing.__getitem__, g.vertices))
+    if potential is not None:
+        kill = [c + p for c, p in zip(kill, potential.tolist())]
+    fixed = sorted({int(t) for t in fixed})
     done = [False] * n
+    for t in fixed:
+        done[t] = True
+    # a fixed vertex keeps no adjacency of its own: ``tie`` sums its edges
+    # to the other fixed vertices, and ``kill`` its edge to the heart
+    tie = {t: sum(w for a, w in adj[t].items() if done[a]) for t in fixed}
+    heart = [n] if any(kill) else []
+    terminals: list[int] = heart + fixed
+    # step k eliminated order[k] with pivots[k] and stars[k], which is its
+    # adjacency dict: nothing touches that once its vertex is gone
     order: list[int] = []
-    terminals: list[int] = [n] if any(kill) else []
-    indptr, nbrs, ls, inv = [0], [], [], []
-    heap = [(len(adj[i]), i) for i in range(n)]
+    stars: list[dict[int, float]] = []
+    pivots: list[float] = []
+    stack = [i for i in range(n - 1, -1, -1) if not done[i] and len(adj[i]) <= 2]
+    heap = [(len(adj[i]), i) for i in range(n) if not done[i] and len(adj[i]) > 2]
     heapq.heapify(heap)
-    left = n
-    while heap:
-        deg, u = heapq.heappop(heap)
-        if done[u] or deg != len(adj[u]):
-            continue
-        if deg * deg > left:
-            break
+    left = n - len(fixed)
+    # vertices whose degree changed to more than two, pushed on the heap
+    # only once the stack runs dry
+    moved: set[int] = set()
+    while True:
+        if stack:
+            u = stack.pop()
+            if done[u]:
+                continue
+        else:
+            for a in moved:
+                if not done[a]:
+                    heapq.heappush(heap, (len(adj[a]), a))
+            moved.clear()
+            if not heap:
+                break
+            deg, u = heapq.heappop(heap)
+            if done[u] or deg != len(adj[u]):
+                continue
+            if deg * deg > left and sum(not done[a] for a in adj[u]) ** 2 > left:
+                break
         done[u] = True
         left -= 1
-        star = list(adj[u].items())
+        star = adj[u]
         kappa = kill[u]
-        d = sum(w for _, w in star) + kappa
+        d = sum(star.values()) + kappa
         if d == 0.0:
             terminals.append(u)
             continue
         order.append(u)
-        nbrs.extend(a for a, _ in star)
-        ls.extend(w / d for _, w in star)
-        if kappa:
-            nbrs.append(n)
-            ls.append(kappa / d)
-        indptr.append(len(nbrs))
-        inv.append(1.0 / d)
-        for p, (a, wa) in enumerate(star):
-            near = adj[a]
-            del near[u]
+        stars.append(star)
+        pivots.append(d)
+        tied = []
+        for a, wa in star.items():
             if kappa:
                 kill[a] += wa * kappa / d
-            for b, wb in star[p + 1 :]:
-                near[b] = adj[b][a] = near.get(b, 0.0) + wa * wb / d
-            heapq.heappush(heap, (len(near), a))
+            if done[a]:
+                tied.append(a)
+                continue
+            near = adj[a]
+            del near[u]
+            for b, wb in star.items():
+                if b != a:
+                    near[b] = near.get(b, 0.0) + wa * wb / d
+            if len(near) <= 2:
+                stack.append(a)
+            else:
+                moved.add(a)
+        if len(tied) > 1:
+            # each fixed neighbour is tied to the others by w_a w_b / d, their
+            # weights summed from both sides of it (no difference taken)
+            ws = [star[t] for t in tied]
+            below = [0.0, *accumulate(ws)]
+            above = [*accumulate(reversed(ws))][::-1] + [0.0]
+            for k, t in enumerate(tied):
+                tie[t] += ws[k] * (below[k] + above[k + 1]) / d
+        if kappa:
+            star[n] = kappa
     rest = sorted((v for v in range(n) if not done[v]), key=lambda v: (len(adj[v]), v))
     if rest:
+        # the fixed vertices next to the rest ride along as columns that
+        # are never pivoted, their ties and killing term starting from zero
         m = len(rest)
-        at = {v: k for k, v in enumerate(rest)}
-        W = np.zeros((m, m))
+        block = rest + sorted({a for v in rest for a in adj[v] if done[a]})
+        at = {v: k for k, v in enumerate(block)}
+        W = np.zeros((len(block), len(block)))
         for k, v in enumerate(rest):
             for a, w in adj[v].items():
-                W[k, at[a]] = w
-        kap = np.array([kill[v] for v in rest])
-        ids = np.array(rest)
+                W[k, at[a]] = W[at[a], k] = w
+        kap = np.array([kill[v] for v in rest] + [0.0] * (len(block) - m))
         for k in range(m):
             w = W[k, k + 1 :]
             d = w.sum() + kap[k]
             if d == 0.0:
                 terminals.append(rest[k])
                 continue
-            order.append(rest[k])
             nz = np.flatnonzero(w)
-            nbrs.extend(ids[k + 1 + nz].tolist())
-            ls.extend((w[nz] / d).tolist())
+            order.append(rest[k])
+            star = dict(zip([block[k + 1 + i] for i in nz.tolist()], w[nz].tolist()))
             if kap[k]:
-                nbrs.append(n)
-                ls.append(kap[k] / d)
-            indptr.append(len(nbrs))
-            inv.append(1.0 / d)
+                star[n] = float(kap[k])
+            stars.append(star)
+            pivots.append(float(d))
             mesh = np.outer(w, w)
             mesh /= d
             W[k + 1 :, k + 1 :] += mesh
             kap[k + 1 :] += w * kap[k] / d
+        np.fill_diagonal(W[m:, m:], 0.0)
+        for k, t in enumerate(block[m:], m):
+            tie[t] += float(W[k, m:].sum())
+            kill[t] += float(kap[k])
+    schur = [sum(kill[t] for t in fixed)] if heart else []
+    schur += [tie[t] + kill[t] for t in fixed]
+    schur += [0.0] * (len(terminals) - len(schur))
     return Elimination(
         np.array(order, dtype=np.intp),
         np.array(terminals, dtype=np.intp),
-        np.array(indptr, dtype=np.intp),
-        np.array(nbrs, dtype=np.intp),
-        np.array(ls, dtype=float),
-        np.array(inv, dtype=float),
+        stars,
+        pivots,
+        np.array(schur, dtype=float),
     )
 
 
 class GroundedFactor:
-    """One sparse factorization of the energy matrix, grounded so that it
-    is positive definite.
+    """The energy matrix (plus ``potential`` on the diagonal), grounded so
+    that it is positive definite and factored by ``eliminate``.
 
-    Vertices in ``fixed`` carry Dirichlet data: they leave the system and
-    their values enter the right-hand side.  A component of the remaining
-    vertices that carries no diagonal term (killing term or ``potential``)
-    and touches no fixed vertex is *floating*: constants along it cost no
-    energy.  Its lowest-index vertex is grounded at zero, and every solve
-    is shifted to mean zero on it, which is the pseudoinverse solution.
-    What is left is factored once by SuperLU with a fill-reducing
-    symmetric ordering and diagonal pivots.  A pivot that keeps less than
-    machine epsilon of its diagonal entry (or turns nonpositive) means the
-    elimination cancelled every significant digit, and the factor is
-    refused with IllConditionedError instead of returning a wrong answer.
-
-    Each solve is followed by one correction solve against the residual
-    rhs - A u, with A u summed as b(x,y) (u_x - u_y) over edges rather than
-    as a matrix product: on weights spanning 2^0..2^40 (the comb) the
-    product cancels the digits the correction needs, while the edge form
-    keeps them.  One step suffices for a backward-stable result (Skeel,
-    Math. Comp. 35, 1980).
+    ``fixed`` vertices carry Dirichlet data: never eliminated, their values
+    enter the back substitution.  A component of the other vertices with no
+    diagonal term and no fixed vertex is *floating* (constants on it cost
+    no energy): its last vertex is grounded at zero, and each solve is
+    shifted to mean zero on it, the pseudoinverse solution.  A solve is one
+    forward and one back substitution over the record; no pivot or
+    multiplier came from a subtraction, so no refinement step follows.
     """
 
     def __init__(
@@ -564,99 +589,64 @@ class GroundedFactor:
         potential: np.ndarray | None = None,
     ):
         self.size = n = g.size
-        ii, jj, ww = g.edge_arrays
-        is_fixed = np.zeros(n, dtype=bool)
-        is_fixed[list(fixed)] = True
-        self.fixed = np.flatnonzero(is_fixed)
-        free = np.flatnonzero(~is_fixed)
-        interior = scipy.sparse.csr_matrix(
-            _energy_block(g, ~is_fixed, potential), shape=(free.size,) * 2
-        )
-        # the block is symmetric, so its strong components are its
-        # components, found without building the transpose
-        ncomp, labels = connected_components(interior, connection="strong")
+        self.fixed = np.array(sorted({int(t) for t in fixed}), dtype=np.intp)
+        self._record = rec = eliminate(g, self.fixed, potential)
+        # a vertex takes the component of its first neighbour that is
+        # neither fixed nor the heart (eliminated later), read in reverse
+        # elimination order; one with none was the last of its component
+        label = [*range(n), -1]
+        for t in self.fixed.tolist():
+            label[t] = -1
+        for u, star in zip(reversed(rec.order.tolist()), reversed(rec.stars)):
+            for a in star:
+                if label[a] >= 0:
+                    label[u] = label[a]
+                    break
         #: component label of each non-fixed vertex, -1 on fixed ones
-        self.component = np.full(n, -1)
-        self.component[free] = labels
-        held = g.killing_array > 0
-        if potential is not None:
-            held |= potential > 0
-        held[ii[is_fixed[jj]]] = True
-        held[jj[is_fixed[ii]]] = True
-        anchored = np.bincount(labels, weights=held[free], minlength=ncomp) > 0
-        self.floating = tuple(free[labels == k] for k in np.flatnonzero(~anchored))
-        kept = ~is_fixed
-        kept[[comp[0] for comp in self.floating]] = False
-        self.kept = np.flatnonzero(kept)
-        self._edges = ii, jj, ww
-        self._diagonal = g.killing_array if potential is None else g.killing_array + potential
-        self._lu = None
-        if self.kept.size:
-            K = scipy.sparse.csc_matrix(
-                _energy_block(g, kept, potential), shape=(self.kept.size,) * 2
-            )
-            try:
-                self._lu = scipy.sparse.linalg.splu(
-                    K,
-                    permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True},
-                )
-            except RuntimeError as exc:
-                raise SingularSystemError(
-                    f"sparse factorization failed: {exc}"
-                ) from exc
-            # Pr K Pc = L U with diagonal pivots puts row k at perm_c[k].
-            ratio = self._lu.U.diagonal()[self._lu.perm_c] / K.diagonal()
-            worst = int(np.argmin(ratio))
-            if not ratio[worst] >= np.finfo(float).eps:
-                raise IllConditionedError(
-                    "ill-conditioned system: the pivot at vertex "
-                    f"{g.vertices[self.kept[worst]]!r} kept {ratio[worst]:.3g} "
-                    "of its diagonal entry"
-                )
+        self.component = np.array(label[:n])
+        roots = [t for t in rec.terminals.tolist() if t < n and label[t] >= 0]
+        self.floating = tuple(
+            sorted((np.flatnonzero(self.component == t) for t in roots), key=lambda c: c[0])
+        )
 
     def solve(
         self, rhs: np.ndarray | None = None, fixed_values: np.ndarray | None = None
     ) -> np.ndarray:
-        """Full-length u with A u = rhs on the factored vertices, u equal to
+        """Full-length u with A u = rhs on the eliminated vertices, u equal to
         ``fixed_values`` (in vertex order) on the fixed ones, and mean zero
         on every floating component.  Complex data takes one real solve per
         part."""
         if np.iscomplexobj(rhs) or np.iscomplexobj(fixed_values):
-            real = self.solve(
-                None if rhs is None else rhs.real,
-                None if fixed_values is None else fixed_values.real,
-            )
-            imag = self.solve(
-                None if rhs is None else rhs.imag,
-                None if fixed_values is None else fixed_values.imag,
+            real, imag = (
+                self.solve(*(None if z is None else part(z) for z in (rhs, fixed_values)))
+                for part in (np.real, np.imag)
             )
             return real + 1j * imag
-        u = np.zeros(self.size)
-        b = np.zeros(self.kept.size) if rhs is None else rhs[self.kept]
-        if fixed_values is not None:
-            u[self.fixed] = fixed_values
-        if self._lu is not None:
-            # u is zero on the kept vertices here, so A u is the coupling
-            # to the fixed values
-            u[self.kept] = self._lu.solve(b if fixed_values is None else b - self._apply(u))
-            # one step of iterative refinement against the edge-form residual
-            b -= self._apply(u)
-            u[self.kept] += self._lu.solve(b)
+        rec = self._record
+        steps = list(zip(rec.order.tolist(), rec.stars, rec.pivots))
+        # slot n of x is the heart, held at zero like every terminal
+        x = [0.0] * (self.size + 1) if rhs is None else [*rhs.tolist(), 0.0]
+        if rhs is not None:
+            # forward: each step passes its share w_a / d of its entry on
+            for u, star, d in steps:
+                share = x[u] / d
+                if share:
+                    for a, w in star.items():
+                        x[a] += w * share
+        for t in rec.terminals.tolist():
+            x[t] = 0.0
+        for t, value in zip(self.fixed.tolist(), [] if fixed_values is None else fixed_values):
+            x[t] = float(value)
+        # back: u = (b + sum_a w_a u_a) / d, latest step first
+        for u, star, d in reversed(steps):
+            total = x[u]
+            for a, w in star.items():
+                total += w * x[a]
+            x[u] = total / d
+        u = np.array(x[:-1])
         for comp in self.floating:
             u[comp] -= u[comp].mean(axis=0)
         return u
-
-    def _apply(self, u: np.ndarray) -> np.ndarray:
-        """A u on the kept vertices, summed over edges as b(x,y) (u_x - u_y)
-        plus the diagonal terms times u_x.  Taking each difference before its
-        weight multiplies it keeps heavy edges between nearly equal values
-        from cancelling every digit of a residual."""
-        ii, jj, ww = self._edges
-        flow = ww * (u[ii] - u[jj])
-        au = np.bincount(ii, flow, self.size) - np.bincount(jj, flow, self.size)
-        return (au + self._diagonal * u)[self.kept]
 
 
 def validate_graph(g: WeightedGraph, m: Measure | None = None) -> list[str]:

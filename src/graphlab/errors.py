@@ -32,11 +32,6 @@ class SingularSystemError(GraphlabError):
     """A linear problem is singular beyond the expected constant-function kernel."""
 
 
-class IllConditionedError(GraphlabError):
-    """A factorization lost every significant digit of a pivot, so any
-    answer it gave would be wrong; the solve is refused instead."""
-
-
 class FamilyError(GraphlabError):
     """A graph family was requested with unsupported parameters."""
 

@@ -22,8 +22,7 @@ from .core import (
     Vertex,
     VertexFunction,
     WeightedGraph,
-    energy,
-    energy_matrix,
+    eliminate,
 )
 from .errors import ConsistencyError, SingularSystemError, ValidationError
 from .exhaustion import ConvergenceReport, GraphFamily, monitor
@@ -114,12 +113,15 @@ def capacity_to_set(g: WeightedGraph, o: Vertex, targets: Sequence[Vertex]) -> f
     """Minimal energy of a unit potential at ``o`` grounded on ``targets``.
 
     Equals the effective conductance between ``o`` and the collapsed
-    target set.
+    target set (with the heart, which the killing term grounds), read off
+    the Schur complement onto ``o``, the targets and the heart as the sum
+    of the weights at ``o``: no difference of potentials is ever taken.
     """
-    values: dict[Vertex, complex] = {v: 0.0 for v in targets}
-    values[o] = 1.0
-    u = solve_dirichlet(DirichletProblem(g, values))
-    return energy(g, u).energy
+    if unknown := [v for v in (o, *targets) if v not in g.index]:
+        raise ValidationError([f"vertex {v!r} not in graph" for v in unknown])
+    o_at = g.index[o]
+    rec = eliminate(g, [o_at] + [g.index[v] for v in targets])
+    return float(rec.schur_diagonal[np.flatnonzero(rec.terminals == o_at)[0]])
 
 
 @dataclass(frozen=True)
@@ -233,11 +235,10 @@ def constant_approximation_defect(
         if len(outside) == g.size:
             values.append(float(m.total))
             continue
-        mass = m.as_array(g)
-        w = GroundedFactor(g, fixed=outside, potential=mass).solve(
-            fixed_values=np.ones(len(outside))
-        )
-        values.append(float(w @ (energy_matrix(g, mass) @ w)))
+        # 1 on every fixed vertex and 0 at the heart: the energy is the
+        # heart's total weight in the Schur complement onto them
+        rec = eliminate(g, outside, m.as_array(g))
+        values.append(float(rec.schur_diagonal[0]))
     report = monitor(values, tolerance)
     verdict = _classify_limit(report, threshold, "vanishing", "positive")
     return DefectSequence(tuple(levels), tuple(values), report, verdict, threshold)

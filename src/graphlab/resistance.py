@@ -4,12 +4,11 @@ The resistance between two vertices is the largest 1/energy over
 potentials with unit difference at the pair; equivalently the value
 delta' A^+ delta for the energy matrix A and the signed pair indicator
 delta.  Its square root is a metric whose Lipschitz functions are exactly
-the finite-energy functions.  Single pairs are solved by the package's
-one grounded sparse factorization (``core.GroundedFactor``); the dense
-pseudoinverse is kept alive deliberately as an independent oracle, beside
-a series-parallel reducer for the instances it can collapse and a path
-sum for trees.  The all-pairs table is read in one reverse sweep over the
-record of a cancellation-free star–mesh elimination (``core.eliminate``).
+the finite-energy functions.  Single pairs and the all-pairs table both
+read one cancellation-free star–mesh elimination (``core.eliminate``):
+pairs by substitution over it (``core.GroundedFactor``), the table in one
+reverse sweep.  The dense pseudoinverse stays as an independent oracle,
+beside a series-parallel reducer and a path sum for trees.
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ def resistance_finite(
     zero on every component free of killing term.  Raises
     InfiniteResistanceError when the pair cannot be coupled (different
     components, both free of killing term).  ``constrained_solve`` runs the
-    grounded sparse factorization; ``pseudoinverse`` is the dense oracle.
+    star–mesh elimination; ``pseudoinverse`` is the dense oracle.
     """
     for v in (x, y):
         if v not in g.index:

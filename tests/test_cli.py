@@ -201,18 +201,33 @@ class TestExitCodes:
     def test_missing_file_is_2(self, tmp_path):
         assert main(["metric", str(tmp_path / "none.json")]) == 2
 
-    def test_ill_conditioned_is_2(self, tmp_path, capsys):
-        # comb weights span 2^0..2^100: elimination cancels every digit of
-        # a pivot, so the solve is refused instead of printing a wrong r
+    def test_comb_100_resistance_is_exact(self, tmp_path):
+        # comb weights span 2^0..2^100; the elimination forms no pivot by
+        # subtraction, so r(0:0, 94:0) comes out as its path sum
         code, _ = run(["gen", "--family", "comb", "--levels", "100"], tmp_path, "c.json")
         assert code == 0
-        capsys.readouterr()
         code, data = run(
             ["resistance", "--pair", "0:0,94:0", str(tmp_path / "c.json")], tmp_path, "r.json"
         )
+        assert code == 0
+        exact = math.fsum(2.0**-k for k in range(1, 95))
+        (entry,) = json.loads(data)
+        assert abs(entry["r"] - exact) <= 1e-12 * exact
+
+    def test_pair_across_killing_free_components_is_2(self, tmp_path, capsys):
+        doc = {
+            "format_version": 1,
+            "vertices": [{"id": v, "c": 0.0} for v in "abcd"],
+            "edges": [{"u": "a", "v": "b", "b": 1.0}, {"u": "c", "v": "d", "b": 2.0}],
+            "metadata": {},
+        }
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code, data = run(["resistance", "--pair", "a,c", str(path)], tmp_path, "r.json")
         assert code == 2 and data == b""
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ill-conditioned")
+        assert len(err) == 1 and err[0].startswith("error: infinite resistance")
 
     @pytest.mark.parametrize(
         "argv",
@@ -431,3 +446,28 @@ class TestCsvFormat:
             assert b'"a,b"' in data and b'"q""x"' in data
         if argv[0] == "metric":
             assert b",inf\n" in data
+
+    def test_argument_lists_take_the_csv_quoting(self, quoting_doc, tmp_path):
+        # "a,b" names the id holding a comma; a quoted " lead=1" keeps its
+        # leading space, and an unquoted space after a comma stays in an id
+        g, m = load_graph(quoting_doc)
+        probe = '"a,b",plain;" lead","a,b"'
+        code, data = run(["heat", "--t", "0.5", "--probe", probe, quoting_doc], tmp_path, "h.csv")
+        assert code == 0
+        assert data == _row_by_row_csv(*_heat_rows(g, m, [("a,b", "plain"), (" lead", "a,b")]))
+        boundary = '"a,b=1"," lead=-1", plain=0.5'
+        code, data = run(["dirichlet", "--boundary", boundary, quoting_doc], tmp_path, "d.csv")
+        assert code == 0
+        u = solve_dirichlet(DirichletProblem(g, {"a,b": 1.0, " lead": -1.0, "plain": 0.5}))
+        rows = [[str(v), float(complex(u[v]).real)] for v in g.vertices]
+        assert data == _row_by_row_csv(["vertex", "value"], rows)
+        argv = ["spectrum", "--kind", "dirichlet", "--boundary", '"a,b", lead', quoting_doc]
+        code, data = run(argv, tmp_path, "s.csv")
+        assert code == 0
+        lam = spectrum(assemble(g, m, "dirichlet", ["a,b", " lead"])).eigenvalues
+        assert data == _row_by_row_csv(["index", "eigenvalue"], [[k, float(x)] for k, x in enumerate(lam)])
+        argv = ["capacity", quoting_doc, "--origin", 'q"x', "--ground", '"a,b", lead']
+        code, data = run(argv, tmp_path, "c.json")
+        assert code == 0
+        # q"x's edges 2.0 and 0.3 plus its killing term 0.5
+        assert json.loads(data)["capacity"] == pytest.approx(2.8, rel=1e-15)

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import graphlab.core as core_module
 from graphlab.core import (
     GroundedFactor,
     Measure,
@@ -21,13 +20,7 @@ from graphlab.core import (
     validate_graph,
     validate_graph_data,
 )
-from graphlab.errors import (
-    DomainMismatchError,
-    IllConditionedError,
-    SingularSystemError,
-    UnknownVertexError,
-    ValidationError,
-)
+from graphlab.errors import DomainMismatchError, UnknownVertexError, ValidationError
 from graphlab.families import FamilySpec, make
 
 from conftest import assert_close, path_graph, random_connected_graph, random_function
@@ -268,6 +261,28 @@ class TestEliminate:
                 assert abs(rec.weights[lo:hi].sum() - 1.0) <= 1e-14
             assert np.all(rec.inverse_pivots > 0)
 
+    def test_schur_diagonal_matches_the_dense_schur_complement(self, rng):
+        for trial in range(30):
+            g = random_connected_graph(rng, 20, extra_edges=30, with_killing=bool(trial % 2))
+            potential = rng.uniform(0.0, 1.0, 20) * (rng.random(20) < 0.2)
+            fixed = sorted({int(i) for i in rng.integers(0, 20, 4)})
+            rec = eliminate(g, fixed, potential)
+            kill = g.killing_array + potential
+            heart = [20] if kill.any() else []
+            assert rec.terminals.tolist() == heart + fixed
+            # the Laplacian with the heart as vertex 20, reduced onto the
+            # terminals by a dense (cancelling but well-conditioned) solve
+            L = np.zeros((21, 21))
+            L[:20, :20] = quadratic_form_matrix(g) + np.diag(potential)
+            L[:20, 20] = L[20, :20] = -kill
+            L[20, 20] = kill.sum()
+            keep = rec.terminals
+            rest = rec.order
+            S = L[np.ix_(keep, keep)] - L[np.ix_(keep, rest)] @ np.linalg.solve(
+                L[np.ix_(rest, rest)], L[np.ix_(rest, keep)]
+            )
+            assert np.allclose(rec.schur_diagonal, np.diag(S), rtol=1e-10, atol=0.0)
+
 
 class TestGroundedFactor:
     def test_dirichlet_block_matches_dense_solve(self, rng):
@@ -315,15 +330,29 @@ class TestGroundedFactor:
             u = factor.solve(fixed_values=np.array([1.0, -1.0]))
             assert u.max() <= 1.0 + 1e-12 and u.min() >= -1.0 - 1e-12, n
 
-    def test_pivot_guard_refuses_comb_100(self):
+    def test_comb_100_spine_solves_are_exact(self):
+        # comb weights span 2^0..2^100 and no pivot is formed by subtraction,
+        # so a unit current from 0:0 to n:0 sees the spine's path sum
         g = make(FamilySpec("comb")).build_ball(100).graph
-        with pytest.raises(IllConditionedError, match="ill-conditioned"):
-            GroundedFactor(g)
+        factor = GroundedFactor(g)
+        for n in (1, 55, 56, 94, 100):
+            delta = np.zeros(g.size)
+            delta[g.index["0:0"]], delta[g.index[f"{n}:0"]] = 1.0, -1.0
+            r = float(delta @ factor.solve(delta))
+            exact = math.fsum(2.0**-k for k in range(1, n + 1))
+            assert abs(r - exact) <= 1e-12 * exact, n
 
-    def test_superlu_singularity_becomes_singular_system_error(self, monkeypatch):
-        def exactly_singular(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
-
-        monkeypatch.setattr(core_module.scipy.sparse.linalg, "splu", exactly_singular)
-        with pytest.raises(SingularSystemError, match="exactly singular"):
-            GroundedFactor(path_graph([1.0, 2.0]))
+    def test_fixed_and_potential_match_dense_solve(self, rng):
+        for trial in range(30):
+            g = random_connected_graph(rng, 14, with_killing=bool(trial % 2))
+            potential = rng.uniform(0.0, 1.0, 14) * (rng.random(14) < 0.3)
+            fixed = sorted({int(i) for i in rng.integers(0, 14, 3)})
+            rhs, phi = rng.standard_normal(14), rng.standard_normal(len(fixed))
+            u = GroundedFactor(g, fixed=fixed, potential=potential).solve(rhs, phi)
+            A = quadratic_form_matrix(g) + np.diag(potential)
+            free = [i for i in range(14) if i not in fixed]
+            want = np.linalg.solve(
+                A[np.ix_(free, free)], rhs[free] - A[np.ix_(free, fixed)] @ phi
+            )
+            assert np.array_equal(u[fixed], phi)
+            assert np.abs(u[free] - want).max() <= 1e-10 * (1 + np.abs(want).max())

@@ -5,8 +5,8 @@ import pytest
 import scipy.special
 
 from graphlab.core import VertexFunction, WeightedGraph, energy
-from graphlab.errors import SingularSystemError
-from graphlab.families import FamilySpec, make
+from graphlab.errors import SingularSystemError, ValidationError
+from graphlab.families import FamilySpec, add_killing, make
 from graphlab.harmonic import (
     DirichletProblem,
     capacity,
@@ -17,6 +17,7 @@ from graphlab.harmonic import (
     solve_dirichlet,
     two_set_resistance,
 )
+from graphlab.heart import HEART, reduce
 
 from conftest import assert_close, random_connected_graph, random_tree
 
@@ -160,6 +161,28 @@ class TestCapacity:
             cap = capacity_to_set(g, "0", targets)
             r = two_set_resistance(g, "0", targets)
             assert abs(cap - 1.0 / r) <= 1e-9 * (1 + cap)
+
+    @pytest.mark.parametrize("killed", [False, True])
+    def test_schur_capacity_matches_collapsed_resistance_on_families(self, killed):
+        # with killing term the heart is grounded too: the augmented graph
+        # carries it as the vertex HEART, collapsed with the targets
+        for name in ("comb", "triangle_ladder", "twin_rays", "ray_power"):
+            fam = make(FamilySpec(name, (2.0,) if name == "ray_power" else ()))
+            if killed:
+                fam = add_killing(fam, lambda v: 0.125)
+            b = fam.build_ball(9)
+            g, o = b.graph, fam.origin
+            targets = sorted(v for v in b.frontier if v != o)
+            cap = capacity_to_set(g, o, targets)
+            if killed:
+                r = two_set_resistance(reduce(g).augmented, o, [*targets, HEART])
+            else:
+                r = two_set_resistance(g, o, targets)
+            assert abs(cap * r - 1.0) <= 1e-12, name
+
+    def test_unknown_vertex_is_refused(self, path24):
+        with pytest.raises(ValidationError, match="not in graph"):
+            capacity_to_set(path24, "0", ["zz"])
 
 
 class TestDefect:

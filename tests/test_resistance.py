@@ -58,6 +58,14 @@ class TestResistanceFinite:
         assert_close(complex(res.minimizer["0"]).real, 0.0, tol=1e-12)
         assert_close(complex(res.minimizer["1"]).real, -1.0, tol=1e-12)
 
+    def test_twin_rays_48_against_exact_rationals(self):
+        # spine weights 2^0..2^47 beside unit rungs
+        g = make(FamilySpec("twin_rays")).build_ball(48).graph
+        for x, y in (("0:0", "48:1"), ("0:0", "0:1"), ("47:1", "48:1")):
+            exact = exact_resistance(g, x, y)
+            r = resistance_finite(g, x, y).r
+            assert abs(r - float(exact)) <= 1e-12 * float(exact), (x, y)
+
     def test_same_vertex(self, path24):
         assert resistance_finite(path24, "1", "1").r == 0.0
 
@@ -169,6 +177,16 @@ class TestTreeIdentity:
             exact = math.fsum(2.0**-k for k in range(1, n + 1))
             assert abs(r - exact) <= 1e-10 * exact
 
+    def test_comb_100_spine_sums_are_exact(self):
+        # weights span 2^0..2^100; on a tree r equals the path metric d
+        g = make(FamilySpec("comb")).build_ball(100).graph
+        d = path_metric(g, source="0:0")
+        for n in (1, 2, 55, 56, 57, 94, 99, 100):
+            r = resistance_finite(g, "0:0", f"{n}:0").r
+            exact = math.fsum(2.0**-k for k in range(1, n + 1))
+            assert abs(r - exact) <= 1e-12 * exact, n
+            assert abs(r - d.distance("0:0", f"{n}:0")) <= 1e-12 * exact, n
+
     def test_all_pairs_on_comb_40(self):
         # the smallest comb resistances are 2^-40, next to entries near 2
         g = make(FamilySpec("comb")).build_ball(40).graph
@@ -213,8 +231,9 @@ class TestAllPairs:
 
     @pytest.mark.parametrize("n", [2, 3, 60])
     def test_complete_graph(self, n):
-        # past K_2 the first pivot's degree squared exceeds n, so the whole
-        # graph goes through the dense block
+        # K_2 and K_3 go by leaf and series moves; in K_60 the first pivot's
+        # degree squared exceeds n, so the whole graph goes through the
+        # dense block
         rho2 = all_pairs_rho(complete_graph(n)) ** 2
         off = ~np.eye(n, dtype=bool)
         assert np.all(np.abs(rho2[off] - 2.0 / n) <= 1e-12 * (2.0 / n))
