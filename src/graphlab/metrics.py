@@ -10,12 +10,20 @@ function of finite energy induces one via its increments.
 Distances across different connected components are infinite; tables hold
 IEEE ``inf`` in memory, and serializers emit an explicit marker string so
 files stay unambiguous.
+
+The all-pairs table comes from one star–mesh elimination in the (min, +)
+semiring and a reverse sweep over its record (Carré, "An algebra for
+network routing problems", 1971), with the vertex order of
+``core.eliminate``; a single-source table is one Dijkstra run.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+import heapq
+from itertools import chain
 import math
 
 import numpy as np
@@ -109,10 +117,14 @@ class PseudometricTable:
     source: Vertex | None  # None means all-pairs
     dist: np.ndarray
 
+    @cached_property
+    def _position(self) -> dict[Vertex, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
     def index(self, x: Vertex) -> int:
         try:
-            return self.vertices.index(x)
-        except ValueError:
+            return self._position[x]
+        except KeyError:
             raise UnknownVertexError(repr(x)) from None
 
     def distance(self, x: Vertex, y: Vertex) -> float:
@@ -143,18 +155,121 @@ class PseudometricTable:
                     )
 
 
-def _length_csr(g: WeightedGraph, length: LengthFunction) -> csr_matrix:
-    n = g.size
-    rows, cols, vals = [], [], []
+def _edge_lengths(g: WeightedGraph, length: LengthFunction) -> np.ndarray:
+    """Each edge's length, one evaluation per edge, in ``g.edge_arrays`` order."""
+    lens = []
     for (u, v), b in g.edges.items():
         lv = length.fn(g, u, v, b)
-        if lv < 0:
-            raise ValidationError([f"negative length on edge ({u!r},{v!r})"])
-        i, j = g.index[u], g.index[v]
-        rows.extend((i, j))
-        cols.extend((j, i))
-        vals.extend((lv, lv))
-    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+        if not lv >= 0:
+            kind = "negative" if lv < 0 else "undefined"
+            raise ValidationError([f"{kind} length on edge ({u!r},{v!r})"])
+        lens.append(lv)
+    return np.array(lens, dtype=float)
+
+
+def _min_plus_table(n: int, ii: np.ndarray, jj: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """All-pairs shortest paths from one elimination in the (min, +) semiring.
+
+    Removing u joins each pair of its neighbours a, b by
+    min(len(a, b), len(a, u) + len(u, b)), which keeps every distance
+    between the vertices left.  The order is ``core.eliminate``'s: degree
+    <= 2 vertices from a stack, then min degree with ties by index, and a
+    dense numpy block by the same switch.  A vertex with no neighbours left
+    is a terminal, one per component.  The reverse sweep then reads
+    d(v, .) = min_a (len(v, a) + d(a, .)) over v's star at its removal,
+    whose members were all removed later, so their rows are known: a
+    shortest path from v leaves through one of them and never comes back.
+    Lengths are only added, never subtracted.
+    """
+    adj: list[dict[int, float]] = [{} for _ in range(n)]
+    for i, j, length in zip(ii.tolist(), jj.tolist(), lens.tolist()):
+        adj[i][j] = length
+        adj[j][i] = length
+    done = [False] * n
+    terminals: list[int] = []
+    # step k removed order[k]; stars[k] is its adjacency dict then, which
+    # nothing touches once its vertex is gone
+    order: list[int] = []
+    stars: list[dict[int, float]] = []
+    stack = [i for i in range(n - 1, -1, -1) if len(adj[i]) <= 2]
+    heap = [(len(adj[i]), i) for i in range(n) if len(adj[i]) > 2]
+    heapq.heapify(heap)
+    left = n
+    moved: set[int] = set()
+    while True:
+        if stack:
+            u = stack.pop()
+            if done[u]:
+                continue
+        else:
+            for a in moved:
+                if not done[a]:
+                    heapq.heappush(heap, (len(adj[a]), a))
+            moved.clear()
+            if not heap:
+                break
+            deg, u = heapq.heappop(heap)
+            if done[u] or deg != len(adj[u]):
+                continue
+            if deg * deg > left:
+                break
+        done[u] = True
+        left -= 1
+        star = adj[u]
+        if not star:
+            terminals.append(u)
+            continue
+        order.append(u)
+        stars.append(star)
+        for a, la in star.items():
+            near = adj[a]
+            del near[u]
+            for b, lb in star.items():
+                if b != a and la + lb < near.get(b, INF):
+                    near[b] = la + lb
+            if len(near) <= 2:
+                stack.append(a)
+            else:
+                moved.add(a)
+    rest = sorted((v for v in range(n) if not done[v]), key=lambda v: (len(adj[v]), v))
+    if rest:
+        at = {v: k for k, v in enumerate(rest)}
+        W = np.full((len(rest), len(rest)), INF)
+        for k, v in enumerate(rest):
+            for a, length in adj[v].items():
+                W[k, at[a]] = length
+        for k, v in enumerate(rest):
+            w = W[k, k + 1 :]
+            nz = np.flatnonzero(w < INF)
+            if not nz.size:
+                terminals.append(v)
+                continue
+            order.append(v)
+            stars.append(dict(zip([rest[k + 1 + i] for i in nz.tolist()], w[nz].tolist())))
+            mesh = W[k + 1 :, k + 1 :]
+            np.minimum(mesh, w[:, None] + w, out=mesh)
+    # rows in reverse elimination order, after the terminals, so that each
+    # vertex's star is rows above it
+    nt = len(terminals)
+    slots = np.array(terminals + order[::-1], dtype=np.intp)
+    row_of = np.empty(n, dtype=np.intp)
+    row_of[slots] = np.arange(n)
+    indptr = [0, *np.cumsum([len(star) for star in reversed(stars)]).tolist()]
+    near = row_of[np.fromiter(chain.from_iterable(reversed(stars)), np.intp, indptr[-1])]
+    star_lens = np.fromiter(
+        chain.from_iterable(map(dict.values, reversed(stars))), float, indptr[-1]
+    )
+    T = np.empty((n, n))
+    T[:nt, :nt] = INF
+    np.fill_diagonal(T, 0.0)
+    for k, lo, hi in zip(range(nt, n), indptr, indptr[1:]):
+        block = T[near[lo:hi], :k]
+        block += star_lens[lo:hi, None]
+        row = block.min(axis=0, out=T[k, :k])
+        T[:k, k] = row
+    # rows, then columns, back to vertex order
+    T = T.take(row_of, axis=0)
+    return T.take(row_of, axis=1)
 
 
 def path_metric(
@@ -164,15 +279,23 @@ def path_metric(
 ) -> PseudometricTable:
     """Shortest-path pseudometric for the given edge lengths.
 
-    ``source=None`` computes the all-pairs table.  Defaults to the
-    inverse-weight length.  Infinite across components.
+    Defaults to the inverse-weight length; a negative or undefined length
+    is refused.  ``source=None`` computes the all-pairs table from one
+    (min, +) star–mesh elimination and a reverse sweep over its record:
+    exactly symmetric, zero on the diagonal, ``inf`` across components.
+    A ``source`` gives its single row from one Dijkstra run.
     """
     length = length or LengthFunction.inverse_b()
-    mat = _length_csr(g, length)
+    lens = _edge_lengths(g, length)
+    ii, jj, _ = g.edge_arrays
     if source is None:
-        return PseudometricTable(g.vertices, None, dijkstra(mat, directed=False))
+        return PseudometricTable(g.vertices, None, _min_plus_table(g.size, ii, jj, lens))
     if source not in g.index:
         raise UnknownVertexError(repr(source))
+    mat = csr_matrix(
+        (np.concatenate([lens, lens]), (np.concatenate([ii, jj]), np.concatenate([jj, ii]))),
+        shape=(g.size, g.size),
+    )
     dist = dijkstra(mat, directed=False, indices=[g.index[source]])
     return PseudometricTable(g.vertices, source, dist)
 

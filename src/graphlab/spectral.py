@@ -119,11 +119,15 @@ class HeatResult:
     mass: np.ndarray
     partial_trace: float
 
+    @cached_property
+    def _position(self) -> dict[Vertex, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
     def entry(self, x: Vertex, y: Vertex) -> float:
         for v in (x, y):
-            if v not in self.vertices:
+            if v not in self._position:
                 raise UnknownVertexError(repr(v))
-        return float(self.kernel[self.vertices.index(x), self.vertices.index(y)])
+        return float(self.kernel[self._position[x], self._position[y]])
 
 
 def heat(

@@ -1,12 +1,15 @@
 """Path pseudometrics, intrinsic checks and the inequality battery."""
 
+from itertools import chain
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
-from graphlab.core import Measure, VertexFunction, energy
-from graphlab.errors import ValidationError
+from graphlab.core import Measure, VertexFunction, WeightedGraph, energy
+from graphlab.errors import UnknownVertexError, ValidationError
 from graphlab.families import FamilySpec, make
 from graphlab.metrics import (
     LengthFunction,
@@ -84,6 +87,129 @@ class TestPathMetric:
         t = path_metric(g)
         assert np.allclose(t.dist, t.dist.T)
         assert np.all(np.diag(t.dist) == 0)
+
+
+def _oracle_corpus(seed: int, count: int):
+    """Seeded (graph, length) pairs: one to three components of up to 15
+    vertices (some near-complete, so the elimination ends in its dense
+    block), lengths cycling through inverse_b, inverse_b_pow, custom with
+    zero-length edges, and killing (every vertex killed)."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        vertices, edges = [], {}
+        for part in range(int(rng.integers(1, 4))):
+            n = int(rng.integers(1, 16))
+            extra = n * n // 2 if rng.random() < 0.3 else None
+            sub = random_connected_graph(rng, n, extra_edges=extra)
+            vertices += [f"{part}.{v}" for v in sub.vertices]
+            edges.update({(f"{part}.{u}", f"{part}.{v}"): b for (u, v), b in sub.edges.items()})
+        kind = k % 4
+        killing = {v: float(rng.uniform(0.1, 2.0)) for v in vertices} if kind == 3 else None
+        g = WeightedGraph.build(vertices, edges, killing)
+        if kind == 0:
+            length = LengthFunction.inverse_b()
+        elif kind == 1:
+            length = LengthFunction.inverse_b_pow(float(rng.uniform(0.3, 2.0)))
+        elif kind == 2:
+            length = LengthFunction.custom(
+                {e: 0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, 3.0)) for e in g.edges}
+            )
+        else:
+            length = LengthFunction.killing()
+        yield g, length
+
+
+def _dijkstra_table(g: WeightedGraph, length: LengthFunction) -> np.ndarray:
+    ii, jj, _ = g.edge_arrays
+    lens = [length.fn(g, u, v, b) for (u, v), b in g.edges.items()]
+    # csgraph keeps explicit zeros of a sparse matrix as zero-length edges
+    mat = csr_matrix((lens * 2, (np.r_[ii, jj], np.r_[jj, ii])), shape=(g.size, g.size))
+    return dijkstra(mat, directed=False)
+
+
+def _assert_rel(got: np.ndarray, want: np.ndarray, rel: float) -> None:
+    inf = np.isinf(want)
+    assert np.array_equal(np.isinf(got), inf)
+    assert np.all(np.abs(got[~inf] - want[~inf]) <= rel * want[~inf])
+
+
+class TestAllPairsElimination:
+    """The all-pairs table from the (min, +) elimination and its sweep."""
+
+    def test_matches_dijkstra_on_random_corpus(self):
+        kinds = set()
+        for g, length in _oracle_corpus(1010, 200):
+            _assert_rel(path_metric(g, length).dist, _dijkstra_table(g, length), 1e-14)
+            kinds.add(length.kind.split("(")[0])
+        assert kinds == {"inverse_b", "inverse_b_pow", "custom", "killing"}
+
+    def test_exactly_symmetric_zero_diagonal_and_bellman(self):
+        # d(x, y) = min over neighbours a of len(x, a) + d(a, y) off the
+        # diagonal: with the symmetry and the zero diagonal this pins the table
+        for g, length in _oracle_corpus(2020, 60):
+            d = path_metric(g, length).dist
+            assert np.array_equal(d, d.T)
+            assert np.all(np.diag(d) == 0.0)
+            idx = g.index
+            for x in g.vertices:
+                i = idx[x]
+                best = np.full(g.size, np.inf)
+                for a, b in g.adjacency[x].items():
+                    np.minimum(best, length.fn(g, x, a, b) + d[idx[a]], out=best)
+                best[i] = 0.0
+                _assert_rel(d[i], best, 1e-14)
+
+    def test_comb_56_matches_tree_path_sums(self):
+        g = make(FamilySpec("comb")).build_ball(56).graph
+        d = path_metric(g)
+
+        def path_lengths(x, y):
+            (n, k), (n2, k2) = (tuple(map(int, v.split(":"))) for v in (x, y))
+            if n == n2:
+                return [2.0**-j for j in range(min(k, k2) + 1, max(k, k2) + 1)]
+            teeth = [2.0**-j for j in chain(range(1, k + 1), range(1, k2 + 1))]
+            return teeth + [2.0**-j for j in range(min(n, n2) + 1, max(n, n2) + 1)]
+
+        rng = np.random.default_rng(56)
+        sources = ["0:0", "56:0", "0:56", "28:28", *rng.choice(g.vertices, 6).tolist()]
+        for x in sources:
+            got = d.dist[g.index[x]]
+            want = np.array([math.fsum(path_lengths(x, y)) for y in g.vertices])
+            assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    def test_triangle_ladder_40_spine_closed_form(self):
+        # spine edge n-(n+1) and each detour through n:k both have length 2/n
+        g = make(FamilySpec("triangle_ladder")).build_ball(40).graph
+        d = path_metric(g)
+        for i in range(1, 42):
+            for j in range(i + 1, 42):
+                want = math.fsum(2.0 / n for n in range(i, j))
+                assert_close(d.distance(str(i), str(j)), want, tol=1e-12, rel=True)
+            if i <= 40:
+                assert_close(d.distance(f"{i}:1", str(i + 1)), 1.0 / i, tol=1e-12, rel=True)
+                assert_close(d.distance(f"{i}:1", f"{i}:{i}"), 0.0 if i == 1 else 2.0 / i, tol=1e-12)
+
+    @pytest.mark.parametrize("source", [None, "0"])
+    @pytest.mark.parametrize(
+        "value, message", [(-1.0, "negative length"), (float("nan"), "undefined length")]
+    )
+    def test_negative_or_undefined_length_is_refused(self, source, value, message):
+        g = path_graph([1.0, 2.0])
+        length = LengthFunction.custom({("0", "1"): 1.0, ("1", "2"): value})
+        with pytest.raises(ValidationError, match=message):
+            path_metric(g, length, source)
+
+    @pytest.mark.parametrize("source", [None, "0"])
+    def test_killing_length_without_c_is_refused(self, source):
+        g = path_graph([1.0, 1.0], killing={"0": 1.0, "1": 1.0})
+        with pytest.raises(ValidationError, match="killing length undefined"):
+            path_metric(g, LengthFunction.killing(), source)
+
+    def test_unknown_vertex_is_refused(self, path24):
+        table = path_metric(path24)
+        assert table.index("2") == 2
+        with pytest.raises(UnknownVertexError):
+            table.distance("0", "9")
 
 
 class TestVerifyIntrinsic:
