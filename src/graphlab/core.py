@@ -25,7 +25,7 @@ all-pairs resistance table and Schur-complement capacities read it too.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 import heapq
@@ -421,6 +421,66 @@ class Elimination:
         return 1.0 / np.array(self.pivots)
 
 
+class _PivotOrder:
+    """The pivot order of both star–mesh eliminations, ``eliminate`` in the
+    (+, ×) semiring and ``metrics._min_plus_table`` in the (min, +) one.
+
+    Vertices of degree at most two go first, from a stack (leaf and series
+    moves never raise a degree), then the rest by min degree, ties by index,
+    from a heap whose stale entries are skipped.  Once the next pivot's
+    neighbours still to be eliminated, squared, outnumber the vertices left,
+    fill has made the rest dense: iteration stops, and ``rest`` lists the
+    vertices left by (degree, index), to go as one numpy block.
+
+    ``adj[i]`` maps vertex i's neighbours to their weights or lengths; the
+    fixed vertices come ``done``, and no list holds the heart, so neither
+    is yielded.  Each pivot is yielded marked done.  The caller updates its
+    neighbours, and puts each on ``stack`` if its degree is then at most
+    two, else into ``moved``, which feeds the heap once the stack runs dry.
+    """
+
+    def __init__(self, adj: list[dict[int, float]], done: list[bool]):
+        self.adj, self.done, self.moved, self.rest = adj, done, set(), []
+        self.stack = [i for i in range(len(adj) - 1, -1, -1) if not done[i] and len(adj[i]) <= 2]
+
+    def __iter__(self) -> Iterator[int]:
+        adj, done, stack, moved = self.adj, self.done, self.stack, self.moved
+        heap = [(len(adj[i]), i) for i in range(len(adj)) if not done[i] and len(adj[i]) > 2]
+        heapq.heapify(heap)
+        left = done.count(False)
+        while True:
+            if stack:
+                u = stack.pop()
+                if done[u]:
+                    continue
+            else:
+                for a in moved:
+                    if not done[a]:
+                        heapq.heappush(heap, (len(adj[a]), a))
+                moved.clear()
+                if not heap:
+                    break
+                deg, u = heapq.heappop(heap)
+                if done[u] or deg != len(adj[u]):
+                    continue
+                if deg * deg > left and sum(not done[a] for a in adj[u]) ** 2 > left:
+                    break
+            done[u] = True
+            left -= 1
+            yield u
+        self.rest = sorted((v for v in range(len(adj)) if not done[v]), key=lambda v: (len(adj[v]), v))
+
+
+def _sweep_rows(terminals: Iterable[int], order: Iterable[int]) -> np.ndarray:
+    """Each vertex's row in a reverse sweep over an elimination: the
+    terminals first, then the eliminated vertices latest first, so that the
+    star of each eliminated vertex is rows above its own."""
+    slots = np.concatenate([np.asarray(terminals, np.intp), np.asarray(order, np.intp)[::-1]])
+    row_of = np.empty(slots.size, dtype=np.intp)
+    row_of[slots] = np.arange(slots.size)
+    return row_of
+
+
 def eliminate(
     g: WeightedGraph,
     fixed: Iterable[int] = (),
@@ -433,19 +493,15 @@ def eliminate(
     its neighbours by an edge of weight w_a w_b / d (an edge to the heart
     is killing term): sums and products of positives only, so no digit
     cancels (GTH elimination: Grassmann, Taksar & Heyman, Oper. Res. 33,
-    1985).  Vertices of degree at most two go first, from a stack (leaf and
-    series moves never raise a degree), then the rest by min degree, ties
-    by index.  Once the next pivot's neighbours still to be eliminated,
-    squared, outnumber the vertices left, fill has made the rest dense: it
-    goes as one numpy block by the same rules, ordered by degree.
+    1985).  The vertices go in ``_PivotOrder``'s order, the dense rest as
+    one numpy block.
     """
     n = g.size
     idx = g.index
     adj: list[dict[int, float]] = [{} for _ in range(n)]
     for (x, y), w in g.edges.items():
         i, j = idx[x], idx[y]
-        adj[i][j] = w
-        adj[j][i] = w
+        adj[i][j] = adj[j][i] = w
     kill = list(map(g.killing.__getitem__, g.vertices))
     if potential is not None:
         kill = [c + p for c, p in zip(kill, potential.tolist())]
@@ -463,32 +519,9 @@ def eliminate(
     order: list[int] = []
     stars: list[dict[int, float]] = []
     pivots: list[float] = []
-    stack = [i for i in range(n - 1, -1, -1) if not done[i] and len(adj[i]) <= 2]
-    heap = [(len(adj[i]), i) for i in range(n) if not done[i] and len(adj[i]) > 2]
-    heapq.heapify(heap)
-    left = n - len(fixed)
-    # vertices whose degree changed to more than two, pushed on the heap
-    # only once the stack runs dry
-    moved: set[int] = set()
-    while True:
-        if stack:
-            u = stack.pop()
-            if done[u]:
-                continue
-        else:
-            for a in moved:
-                if not done[a]:
-                    heapq.heappush(heap, (len(adj[a]), a))
-            moved.clear()
-            if not heap:
-                break
-            deg, u = heapq.heappop(heap)
-            if done[u] or deg != len(adj[u]):
-                continue
-            if deg * deg > left and sum(not done[a] for a in adj[u]) ** 2 > left:
-                break
-        done[u] = True
-        left -= 1
+    rule = _PivotOrder(adj, done)
+    stack, moved = rule.stack, rule.moved
+    for u in rule:
         star = adj[u]
         kappa = kill[u]
         d = sum(star.values()) + kappa
@@ -524,7 +557,7 @@ def eliminate(
                 tie[t] += ws[k] * (below[k] + above[k + 1]) / d
         if kappa:
             star[n] = kappa
-    rest = sorted((v for v in range(n) if not done[v]), key=lambda v: (len(adj[v]), v))
+    rest = rule.rest
     if rest:
         # the fixed vertices next to the rest ride along as columns that
         # are never pivoted, their ties and killing term starting from zero

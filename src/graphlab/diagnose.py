@@ -162,7 +162,10 @@ def _net_evidence(
     """Net sizes per epsilon per probe level, using the top-ball metric."""
     out: dict[str, list[int]] = {repr(eps): [] for eps in EPS_LADDER}
     for members in level_members:
-        sub = dist_top[np.ix_(members, members)]
+        # in place at the top level; nets break ties by row order, so a
+        # permuted full set is still copied
+        full = members == list(range(len(dist_top)))
+        sub = dist_top if full else dist_top[np.ix_(members, members)]
         start = members.index(origin_idx) if origin_idx in members else 0
         for eps in EPS_LADDER:
             out[repr(eps)].append(greedy_net_size(sub, start, eps, cap))

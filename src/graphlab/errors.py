@@ -21,7 +21,10 @@ class DomainMismatchError(GraphlabError):
 
 
 class UnknownVertexError(GraphlabError):
-    """A vertex identifier is not present in the graph."""
+    """A vertex identifier, given as its repr, is not present in the graph."""
+
+    def __init__(self, vertex: str):
+        super().__init__(f"unknown vertex {vertex}")
 
 
 class InfiniteResistanceError(GraphlabError):

@@ -13,8 +13,9 @@ files stay unambiguous.
 
 The all-pairs table comes from one star–mesh elimination in the (min, +)
 semiring and a reverse sweep over its record (Carré, "An algebra for
-network routing problems", 1971), with the vertex order of
-``core.eliminate``; a single-source table is one Dijkstra run.
+network routing problems", 1971), in the pivot order that
+``core._PivotOrder`` gives ``core.eliminate`` too; a single-source table
+is one Dijkstra run.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-import heapq
 from itertools import chain
 import math
 
@@ -30,7 +30,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .core import Measure, Vertex, VertexFunction, WeightedGraph
+from .core import Measure, Vertex, VertexFunction, WeightedGraph, _PivotOrder, _sweep_rows
 from .errors import GraphlabError, UnknownVertexError, ValidationError
 
 INF = float("inf")
@@ -172,10 +172,9 @@ def _min_plus_table(n: int, ii: np.ndarray, jj: np.ndarray, lens: np.ndarray) ->
 
     Removing u joins each pair of its neighbours a, b by
     min(len(a, b), len(a, u) + len(u, b)), which keeps every distance
-    between the vertices left.  The order is ``core.eliminate``'s: degree
-    <= 2 vertices from a stack, then min degree with ties by index, and a
-    dense numpy block by the same switch.  A vertex with no neighbours left
-    is a terminal, one per component.  The reverse sweep then reads
+    between the vertices left.  The order is ``core._PivotOrder``'s, the
+    dense rest as one numpy block.  A vertex with no neighbours left is a
+    terminal, one per component.  The reverse sweep then reads
     d(v, .) = min_a (len(v, a) + d(a, .)) over v's star at its removal,
     whose members were all removed later, so their rows are known: a
     shortest path from v leaves through one of them and never comes back.
@@ -183,38 +182,15 @@ def _min_plus_table(n: int, ii: np.ndarray, jj: np.ndarray, lens: np.ndarray) ->
     """
     adj: list[dict[int, float]] = [{} for _ in range(n)]
     for i, j, length in zip(ii.tolist(), jj.tolist(), lens.tolist()):
-        adj[i][j] = length
-        adj[j][i] = length
-    done = [False] * n
-    terminals: list[int] = []
+        adj[i][j] = adj[j][i] = length
     # step k removed order[k]; stars[k] is its adjacency dict then, which
     # nothing touches once its vertex is gone
+    terminals: list[int] = []
     order: list[int] = []
     stars: list[dict[int, float]] = []
-    stack = [i for i in range(n - 1, -1, -1) if len(adj[i]) <= 2]
-    heap = [(len(adj[i]), i) for i in range(n) if len(adj[i]) > 2]
-    heapq.heapify(heap)
-    left = n
-    moved: set[int] = set()
-    while True:
-        if stack:
-            u = stack.pop()
-            if done[u]:
-                continue
-        else:
-            for a in moved:
-                if not done[a]:
-                    heapq.heappush(heap, (len(adj[a]), a))
-            moved.clear()
-            if not heap:
-                break
-            deg, u = heapq.heappop(heap)
-            if done[u] or deg != len(adj[u]):
-                continue
-            if deg * deg > left:
-                break
-        done[u] = True
-        left -= 1
+    rule = _PivotOrder(adj, [False] * n)
+    stack, moved = rule.stack, rule.moved
+    for u in rule:
         star = adj[u]
         if not star:
             terminals.append(u)
@@ -231,7 +207,7 @@ def _min_plus_table(n: int, ii: np.ndarray, jj: np.ndarray, lens: np.ndarray) ->
                 stack.append(a)
             else:
                 moved.add(a)
-    rest = sorted((v for v in range(n) if not done[v]), key=lambda v: (len(adj[v]), v))
+    rest = rule.rest
     if rest:
         at = {v: k for k, v in enumerate(rest)}
         W = np.full((len(rest), len(rest)), INF)
@@ -248,12 +224,8 @@ def _min_plus_table(n: int, ii: np.ndarray, jj: np.ndarray, lens: np.ndarray) ->
             stars.append(dict(zip([rest[k + 1 + i] for i in nz.tolist()], w[nz].tolist())))
             mesh = W[k + 1 :, k + 1 :]
             np.minimum(mesh, w[:, None] + w, out=mesh)
-    # rows in reverse elimination order, after the terminals, so that each
-    # vertex's star is rows above it
     nt = len(terminals)
-    slots = np.array(terminals + order[::-1], dtype=np.intp)
-    row_of = np.empty(n, dtype=np.intp)
-    row_of[slots] = np.arange(n)
+    row_of = _sweep_rows(terminals, order)
     indptr = [0, *np.cumsum([len(star) for star in reversed(stars)]).tolist()]
     near = row_of[np.fromiter(chain.from_iterable(reversed(stars)), np.intp, indptr[-1])]
     star_lens = np.fromiter(

@@ -24,6 +24,7 @@ from .core import (
     Vertex,
     VertexFunction,
     WeightedGraph,
+    _sweep_rows,
     eliminate,
     quadratic_form_matrix,
 )
@@ -237,22 +238,14 @@ def series_parallel_resistance(
             if u in terminals or u not in cond:
                 continue
             deg = len(cond[u])
-            if deg == 0:
-                drop(u)
-                changed = True
-            elif deg == 1:
+            if deg <= 1:
                 drop(u)
                 changed = True
             elif deg == 2:
                 (a, ba), (bb, bbb) = cond[u].items()
                 r_new = 1.0 / ba + 1.0 / bbb
                 drop(u)
-                if bb in cond[a]:
-                    cond[a][bb] += 1.0 / r_new
-                    cond[bb][a] = cond[a][bb]
-                else:
-                    cond[a][bb] = 1.0 / r_new
-                    cond[bb][a] = 1.0 / r_new
+                cond[a][bb] = cond[bb][a] = cond[a].get(bb, 0.0) + 1.0 / r_new
                 changed = True
     if set(cond) == terminals and y in cond[x]:
         return 1.0 / cond[x][y]
@@ -326,18 +319,12 @@ def all_pairs_rho(g: WeightedGraph) -> np.ndarray:
         raise InfiniteResistanceError(
             "all-pairs table undefined across zero-energy components"
         )
-    # rows in reverse elimination order, after the terminal, so that each
-    # vertex's neighbours are rows above it
-    slots = np.concatenate([rec.terminals, rec.order[::-1]])
-    row_of = np.empty(g.size + 1, dtype=np.intp)
-    row_of[slots] = np.arange(slots.size)
+    row_of = _sweep_rows(rec.terminals, rec.order)
     near = row_of[rec.neighbours]
     indptr = rec.indptr.tolist()
     inverse_pivots = rec.inverse_pivots.tolist()
-    R = np.zeros((slots.size, slots.size))
-    steps = rec.order.size
-    for k in range(rec.terminals.size, slots.size):
-        step = steps - 1 - (k - rec.terminals.size)
+    R = np.zeros((row_of.size, row_of.size))
+    for k, step in zip(range(rec.terminals.size, row_of.size), reversed(range(rec.order.size))):
         lo, hi = indptr[step], indptr[step + 1]
         a, l = near[lo:hi], rec.weights[lo:hi]
         row = l @ R[a, :k]
@@ -374,11 +361,11 @@ def rho_diameter_estimate(
 
     Subgraph resistances overestimate the limit values, so the sequence
     (max over pairs of ball-n vertices, evaluated on the largest ball) is
-    a certified upper-bound profile; the last value is always a valid
-    lower bound for nothing and an upper bound for the diameter of the
-    probed region.  ``finite`` status needs both convergence and a
-    generator tail certificate; ``infinite`` needs a certified divergent
-    lower bound (trees with divergent path metric along a spine).
+    a certified upper-bound profile: its last value bounds the diameter of
+    the probed region from above, and from below only on trees, where it
+    is exact.  ``finite`` status needs both convergence and a generator
+    tail certificate; ``infinite`` needs a certified divergent lower bound
+    (trees with divergent path metric along a spine).
     """
     levels = sorted(set(levels))
     if not levels:
@@ -389,7 +376,8 @@ def rho_diameter_estimate(
     values = []
     for n in levels:
         members = [idx[v] for v in fam.build_ball(n).graph.vertices]
-        sub = table[np.ix_(members, members)]
+        # the top level reads the table in place, not a copy of all of it
+        sub = table if members == list(range(len(table))) else table[np.ix_(members, members)]
         values.append(float(sub.max()) if sub.size else 0.0)
     report = monitor(values, tolerance)
 

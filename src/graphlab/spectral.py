@@ -139,8 +139,8 @@ def heat(
 
     Kernel entries satisfy (e^{-tL} f)(x) = sum_y p_t(x,y) f(y) m(y).
     """
-    if t < 0:
-        raise ValidationError(["heat semigroup needs t >= 0"])
+    if not 0 <= t < np.inf:
+        raise ValidationError(["heat semigroup needs a finite t >= 0"])
     spec = spec or spectrum(op)
     weights = np.exp(-t * spec.eigenvalues)
     phi = spec.eigenfunctions
@@ -161,8 +161,8 @@ def trace_convergence(
     the finite-scale evidence for a trace-class limit.  The family must
     supply a measure.
     """
-    if t < 0:
-        raise ValidationError(["trace monitoring needs t >= 0"])
+    if not 0 <= t < np.inf:
+        raise ValidationError(["trace monitoring needs a finite t >= 0"])
     traces = []
     for n in sorted(set(levels)):
         b = fam.build_ball(n)

@@ -8,8 +8,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from graphlab.core import Measure, VertexFunction, WeightedGraph
+from graphlab.metrics import LengthFunction
 
 
 def log_uniform_weight(rng) -> float:
@@ -140,3 +143,20 @@ def complete_graph(n: int) -> WeightedGraph:
 def assert_close(actual, expected, tol=1e-12, rel=False):
     scale = (1.0 + abs(expected)) if rel else 1.0
     assert abs(actual - expected) <= tol * scale, f"{actual} vs {expected}"
+
+
+def dijkstra_table(g: WeightedGraph, length: LengthFunction | None = None) -> np.ndarray:
+    """All-pairs scipy Dijkstra over ``length`` (default 1/b), the oracle
+    for the elimination's path metric."""
+    length = length or LengthFunction.inverse_b()
+    ii, jj, _ = g.edge_arrays
+    lens = [length.fn(g, u, v, b) for (u, v), b in g.edges.items()]
+    # csgraph keeps explicit zeros of a sparse matrix as zero-length edges
+    mat = csr_matrix((lens * 2, (np.r_[ii, jj], np.r_[jj, ii])), shape=(g.size, g.size))
+    return dijkstra(mat, directed=False)
+
+
+def assert_rel(got: np.ndarray, want: np.ndarray, rel: float) -> None:
+    inf = np.isinf(want)
+    assert np.array_equal(np.isinf(got), inf)
+    assert np.all(np.abs(got[~inf] - want[~inf]) <= rel * want[~inf])

@@ -273,6 +273,19 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_heat_nonfinite_time_is_2(self, t, comb_doc, tmp_path, capsys):
+        argv = ["heat", "--kind", "neumann", f"--t={t}", "--probe", "0:0,0:0", comb_doc]
+        code, data = run(argv, tmp_path, "heat.csv")
+        assert code == 2 and data == b""
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: heat semigroup needs a finite t >= 0"]
+
+    def test_unknown_vertex_is_named(self, comb_doc, tmp_path, capsys):
+        code, data = run(["metric", "--source", "zz", comb_doc], tmp_path, "d.csv")
+        assert code == 2 and data == b""
+        assert capsys.readouterr().err.splitlines() == ["error: unknown vertex 'zz'"]
+
     @pytest.mark.parametrize(
         "family, parameter",
         [

@@ -22,8 +22,16 @@ from graphlab.core import (
 )
 from graphlab.errors import DomainMismatchError, UnknownVertexError, ValidationError
 from graphlab.families import FamilySpec, make
+from graphlab.metrics import path_metric
 
-from conftest import assert_close, path_graph, random_connected_graph, random_function
+from conftest import (
+    assert_close,
+    assert_rel,
+    dijkstra_table,
+    path_graph,
+    random_connected_graph,
+    random_function,
+)
 
 
 class TestValidation:
@@ -282,6 +290,38 @@ class TestEliminate:
                 L[np.ix_(rest, rest)], L[np.ix_(rest, keep)]
             )
             assert np.allclose(rec.schur_diagonal, np.diag(S), rtol=1e-10, atol=0.0)
+
+    @staticmethod
+    def petersen_with_tail():
+        """The Petersen graph (outer cycle 0-4, spokes i, i+5, inner
+        pentagram on 5-9) with the pendant path 0 - 10 - 11."""
+        pairs = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+        pairs += [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(0, 10), (10, 11)]
+        edges = {(str(a), str(b)): 1.0 + k / 8 for k, (a, b) in enumerate(pairs)}
+        return WeightedGraph.build([str(i) for i in range(12)], edges)
+
+    def test_pivot_order_runs_all_three_phases(self):
+        g = self.petersen_with_tail()
+        rec = eliminate(g)
+        # stack: series move at 10, then leaf 11 (0 back to degree 3, its
+        # entry (4, 0) stale); min degree: 0 (9 <= 10 left), stale (3, 1),
+        # 2 (9 <= 9 left), stale (3, 3), (3, 4), (3, 5); 6 switches (9 > 8
+        # left), the rest by degree: 6, 8, 9 of degree 3, then 3, 4, 5, 7 of
+        # degree 4, and 1 of degree 5, the terminal
+        assert rec.order.tolist() == [10, 11, 0, 2, 6, 8, 9, 3, 4, 5, 7]
+        assert rec.terminals.tolist() == [1]
+        # with 7 fixed, one vertex fewer is left: 2 (9 > 8 left) only has two
+        # neighbours still to be eliminated, so it goes on its own; 6 (9 > 7
+        # left) switches, and 1, of degree 5, goes last
+        rec = eliminate(g, [7])
+        assert rec.order.tolist() == [10, 11, 0, 2, 6, 8, 9, 3, 4, 5, 1]
+        assert rec.terminals.tolist() == [7]
+
+    def test_pivot_order_path_metric_matches_dijkstra(self):
+        g = self.petersen_with_tail()
+        got = path_metric(g).dist
+        assert np.array_equal(got, got.T)
+        assert_rel(got, dijkstra_table(g), 1e-14)
 
 
 class TestGroundedFactor:

@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from graphlab.core import Measure, VertexFunction, WeightedGraph, energy
 from graphlab.errors import UnknownVertexError, ValidationError
@@ -24,6 +22,8 @@ from graphlab.resistance import all_pairs_rho
 
 from conftest import (
     assert_close,
+    assert_rel,
+    dijkstra_table,
     path_graph,
     random_connected_graph,
     random_function,
@@ -119,27 +119,13 @@ def _oracle_corpus(seed: int, count: int):
         yield g, length
 
 
-def _dijkstra_table(g: WeightedGraph, length: LengthFunction) -> np.ndarray:
-    ii, jj, _ = g.edge_arrays
-    lens = [length.fn(g, u, v, b) for (u, v), b in g.edges.items()]
-    # csgraph keeps explicit zeros of a sparse matrix as zero-length edges
-    mat = csr_matrix((lens * 2, (np.r_[ii, jj], np.r_[jj, ii])), shape=(g.size, g.size))
-    return dijkstra(mat, directed=False)
-
-
-def _assert_rel(got: np.ndarray, want: np.ndarray, rel: float) -> None:
-    inf = np.isinf(want)
-    assert np.array_equal(np.isinf(got), inf)
-    assert np.all(np.abs(got[~inf] - want[~inf]) <= rel * want[~inf])
-
-
 class TestAllPairsElimination:
     """The all-pairs table from the (min, +) elimination and its sweep."""
 
     def test_matches_dijkstra_on_random_corpus(self):
         kinds = set()
         for g, length in _oracle_corpus(1010, 200):
-            _assert_rel(path_metric(g, length).dist, _dijkstra_table(g, length), 1e-14)
+            assert_rel(path_metric(g, length).dist, dijkstra_table(g, length), 1e-14)
             kinds.add(length.kind.split("(")[0])
         assert kinds == {"inverse_b", "inverse_b_pow", "custom", "killing"}
 
@@ -157,7 +143,7 @@ class TestAllPairsElimination:
                 for a, b in g.adjacency[x].items():
                     np.minimum(best, length.fn(g, x, a, b) + d[idx[a]], out=best)
                 best[i] = 0.0
-                _assert_rel(d[i], best, 1e-14)
+                assert_rel(d[i], best, 1e-14)
 
     def test_comb_56_matches_tree_path_sums(self):
         g = make(FamilySpec("comb")).build_ball(56).graph

@@ -179,6 +179,12 @@ class TestHeat:
         with pytest.raises(ValidationError):
             heat(op, -0.1)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_time_rejected(self, unit_edge, t):
+        op = assemble(unit_edge, Measure.unit(unit_edge), "neumann")
+        with pytest.raises(ValidationError, match="finite t"):
+            heat(op, t)
+
 
 class TestTraceConvergence:
     def test_finite_family_stabilizes(self):
@@ -199,3 +205,9 @@ class TestTraceConvergence:
         assert rep.status == "inconclusive"
         diffs = [b - a for a, b in zip(rep.values, rep.values[1:])]
         assert all(d == 1.0 for d in diffs)
+
+    @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_nonfinite_time_rejected(self, t):
+        fam = make(FamilySpec("ray_power", (3.0,), "geometric", 0.5))
+        with pytest.raises(ValidationError, match="finite t"):
+            trace_convergence(fam, t, range(3, 6))
