@@ -61,7 +61,6 @@ from .resistance import (
     rho,
     rho_diameter_estimate,
     rho_o,
-    series_parallel_resistance,
 )
 from .spectral import (
     HeatResult,

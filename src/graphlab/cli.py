@@ -193,7 +193,7 @@ def cmd_resistance(args) -> int:
     g, _ = load_graph(args.graph)
     payload = []
     for x, y in _parse_pairs(args.pair):
-        res = resistance_finite(g, x, y, args.method)
+        res = resistance_finite(g, x, y)
         entry = {
             "x": x,
             "y": y,
@@ -365,11 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resistance", help="effective resistance for vertex pairs (JSON)")
     p.add_argument("--pair", required=True, help="pairs like x,y;x2,y2")
-    p.add_argument(
-        "--method",
-        default="constrained_solve",
-        choices=("constrained_solve", "pseudoinverse"),
-    )
     p.add_argument("--anchor", default=None, help="also report the anchored metric at this vertex")
     p.add_argument("--minimizer", action="store_true", help="include the minimizing potential")
     add_common(p)

@@ -15,12 +15,12 @@ is the associated formal Laplacian; dividing by a vertex measure ``m``
 gives its measure-weighted variant.  Everything here is immutable and
 pure, so shared instances are safe to use concurrently.
 
-Every linear solve of the package, apart from the dense pseudoinverse
-kept as an oracle, reads one routine: ``eliminate`` records a star–mesh
-elimination in edge form, with the killing term as edges to a heart
-terminal, whose pivots are sums of positive weights, so no digit cancels.
-``GroundedFactor`` solves by substitution over that record; the
-all-pairs resistance table and Schur-complement capacities read it too.
+Every linear solve of the package reads one routine: ``eliminate``
+records a star–mesh elimination in edge form, with the killing term as
+edges to a heart terminal, whose pivots are sums of positive weights, so
+no digit cancels.  ``GroundedFactor`` solves by substitution over that
+record; the all-pairs resistance table and Schur-complement capacities
+read it too.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from itertools import accumulate, chain
 import math
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DomainMismatchError, UnknownVertexError, ValidationError
 
@@ -363,22 +362,13 @@ def quadratic_form_matrix(g: WeightedGraph) -> np.ndarray:
     Diagonal holds weighted degree plus killing term, off-diagonal the
     negated edge weights.
     """
-    return energy_matrix(g).toarray()
-
-
-def energy_matrix(
-    g: WeightedGraph, potential: np.ndarray | None = None
-) -> scipy.sparse.csr_matrix:
-    """Sparse (CSR) energy matrix, with ``potential`` (one entry per vertex,
-    in vertex order) added to the diagonal."""
     n = g.size
     ii, jj, ww = g.edge_arrays
     diag = np.bincount(np.concatenate([ii, jj]), np.concatenate([ww, ww]), n) + g.killing_array
-    if potential is not None:
-        diag = diag + potential
-    span = np.arange(n)
-    rows, cols = np.concatenate([ii, jj, span]), np.concatenate([jj, ii, span])
-    return scipy.sparse.csr_matrix((np.concatenate([-ww, -ww, diag]), (rows, cols)), shape=(n, n))
+    A = np.zeros((n, n))
+    A[ii, jj] = A[jj, ii] = -ww
+    np.fill_diagonal(A, diag)
+    return A
 
 
 @dataclass(frozen=True)
@@ -610,7 +600,7 @@ class GroundedFactor:
     enter the back substitution.  A component of the other vertices with no
     diagonal term and no fixed vertex is *floating* (constants on it cost
     no energy): its last vertex is grounded at zero, and each solve is
-    shifted to mean zero on it, the pseudoinverse solution.  A solve is one
+    shifted to mean zero on it, the solution of least norm.  A solve is one
     forward and one back substitution over the record; no pivot or
     multiplier came from a subtraction, so no refinement step follows.
     """

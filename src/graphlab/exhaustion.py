@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+import math
 
 from .core import Measure, Vertex, WeightedGraph
 from .errors import UnknownVertexError, ValidationError
@@ -99,8 +100,11 @@ def monitor(
 ) -> ConvergenceReport:
     """Classify a monitored scalar sequence.
 
-    Never claims convergence from fewer than ``window``+1 terms.
+    Never claims convergence from fewer than ``window``+1 terms.  The
+    tolerance must be finite and positive.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValidationError([f"tolerance must be finite and > 0, got {tolerance!r}"])
     values = tuple(float(v) for v in seq)
     if not values:
         raise ValidationError(["cannot monitor an empty sequence"])

@@ -420,44 +420,3 @@ def set_distance(
     vals = sigma.dist[:, cols].min(axis=1)
     return VertexFunction({v: float(vals[i]) for i, v in enumerate(sigma.vertices)})
 
-
-def sample_unit_energy_functions(
-    g: WeightedGraph, count: int, rng
-) -> list[np.ndarray]:
-    """Unit-energy sample battery for the supremum characterization.
-
-    The increments of any unit-energy function form an intrinsic
-    pseudometric with unit mass, dominated entrywise by the resistance
-    metric; the supremum over all of them attains it.  The battery mixes
-    white-noise functions with harmonic interpolations between random
-    vertex subsets (the extremal candidates), so the sampled supremum
-    actually approaches the metric rather than stalling on generic noise.
-    Requires a connected graph; returns arrays in vertex order.
-    """
-    from .core import energy_matrix
-    from .harmonic import DirichletProblem, solve_dirichlet
-
-    n = g.size
-    A = energy_matrix(g)
-    verts = list(g.vertices)
-    out: list[np.ndarray] = []
-    while len(out) < count:
-        roll = rng.random()
-        if roll < 0.4 or n < 2:
-            f = rng.standard_normal(n)
-        else:
-            if roll < 0.7:
-                u, v = rng.choice(n, size=2, replace=False)
-                vals = {verts[u]: 0.0, verts[v]: 1.0}
-            else:
-                k = int(rng.integers(2, n + 1))
-                chosen = rng.choice(n, size=k, replace=False)
-                split = int(rng.integers(1, k))
-                vals = {verts[i]: 0.0 for i in chosen[:split]}
-                vals.update({verts[i]: 1.0 for i in chosen[split:]})
-            f = solve_dirichlet(DirichletProblem(g, vals)).as_array(g).real
-        e = float(f @ (A @ f))
-        if e <= 1e-12:
-            continue
-        out.append(f / math.sqrt(e))
-    return out

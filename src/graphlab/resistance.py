@@ -7,8 +7,7 @@ delta.  Its square root is a metric whose Lipschitz functions are exactly
 the finite-energy functions.  Single pairs and the all-pairs table both
 read one cancellation-free star–mesh elimination (``core.eliminate``):
 pairs by substitution over it (``core.GroundedFactor``), the table in one
-reverse sweep.  The dense pseudoinverse stays as an independent oracle,
-beside a series-parallel reducer and a path sum for trees.
+reverse sweep.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .core import (
     WeightedGraph,
     _sweep_rows,
     eliminate,
-    quadratic_form_matrix,
 )
 from .errors import (
     ConsistencyError,
@@ -51,19 +49,6 @@ class ResistanceResult:
     @property
     def rho(self) -> float:
         return math.sqrt(self.r)
-
-
-def _kernel_basis(g: WeightedGraph) -> list[np.ndarray]:
-    """Orthonormal kernel of the energy matrix: one flat vector per
-    component whose killing term vanishes identically."""
-    basis = []
-    for comp in g.components:
-        if all(g.killing[v] == 0.0 for v in comp):
-            vec = np.zeros(g.size)
-            for v in comp:
-                vec[g.index[v]] = 1.0
-            basis.append(vec / math.sqrt(len(comp)))
-    return basis
 
 
 def _check_finite(floating: Sequence[np.ndarray], delta: np.ndarray):
@@ -91,45 +76,32 @@ def _pair_direction(g: WeightedGraph, x: Vertex, y: Vertex) -> np.ndarray:
     return delta
 
 
-def resistance_finite(
-    g: WeightedGraph,
-    x: Vertex,
-    y: Vertex,
-    method: str = "constrained_solve",
-) -> ResistanceResult:
+def resistance_finite(g: WeightedGraph, x: Vertex, y: Vertex) -> ResistanceResult:
     """Effective resistance on a finite graph, with the minimizing potential.
 
     The minimizer has unit difference at the pair and energy 1/r, and mean
     zero on every component free of killing term.  Raises
     InfiniteResistanceError when the pair cannot be coupled (different
-    components, both free of killing term).  ``constrained_solve`` runs the
-    star–mesh elimination; ``pseudoinverse`` is the dense oracle.
+    components, both free of killing term).  The result's ``method`` is
+    ``constrained_solve``: substitution over the star–mesh elimination.
     """
     for v in (x, y):
         if v not in g.index:
             raise UnknownVertexError(repr(v))
     if x == y:
         return ResistanceResult(
-            (x, y), 0.0, VertexFunction.constant(g, 0.0), method
+            (x, y), 0.0, VertexFunction.constant(g, 0.0), "constrained_solve"
         )
     delta = _pair_direction(g, x, y)
-    if method == "constrained_solve":
-        factor = GroundedFactor(g)
-        _check_finite(factor.floating, delta)
-        sol = factor.solve(delta)
-        coupled = factor.component[g.index[x]] != factor.component[g.index[y]]
-    elif method == "pseudoinverse":
-        _check_finite([np.flatnonzero(vec) for vec in _kernel_basis(g)], delta)
-        sol = np.linalg.pinv(quadratic_form_matrix(g), hermitian=True) @ delta
-        coupled = g.component_of(x) is not g.component_of(y)
-    else:
-        raise ValidationError([f"unknown solver method {method!r}"])
-    r, pot = _unit_gap(delta, sol)
+    factor = GroundedFactor(g)
+    _check_finite(factor.floating, delta)
+    r, pot = _unit_gap(delta, factor.solve(delta))
+    coupled = factor.component[g.index[x]] != factor.component[g.index[y]]
     return ResistanceResult(
         (x, y),
         r,
         VertexFunction.from_array(g, pot),
-        method,
+        "constrained_solve",
         coupled_through_killing=bool(coupled),
     )
 
@@ -159,97 +131,6 @@ def rho_o(g: WeightedGraph, x: Vertex, y: Vertex, o: Vertex) -> float:
     _check_finite(factor.floating, delta)
     val, _ = _unit_gap(delta, factor.solve(delta))
     return math.sqrt(val)
-
-
-def resistance_tree_path(g: WeightedGraph, x: Vertex, y: Vertex) -> ResistanceResult:
-    """Series fast path for trees: resistance equals the inverse-weight
-    path metric along the unique path.
-
-    The minimizer ramps by 1/b across each path edge and is constant off
-    the path.  Callers are responsible for ``g`` actually being a forest.
-    """
-    if x == y:
-        return ResistanceResult((x, y), 0.0, VertexFunction.constant(g, 0.0), "tree_path")
-    # unique path via parent pointers from a BFS rooted at x
-    parent: dict[Vertex, Vertex] = {x: x}
-    stack = [x]
-    while stack:
-        u = stack.pop()
-        for w in g.adjacency[u]:
-            if w not in parent:
-                parent[w] = u
-                stack.append(w)
-    if y not in parent:
-        raise InfiniteResistanceError("pair lies in different components of the tree")
-    path = [y]
-    while path[-1] != x:
-        path.append(parent[path[-1]])
-    path.reverse()
-    r = math.fsum(1.0 / g.b(path[k], path[k + 1]) for k in range(len(path) - 1))
-    # potential: 0 on x's side, ramp along the path, constant on hanging branches
-    values = {v: 0.0 for v in g.vertices}
-    level = 0.0
-    for k in range(1, len(path)):
-        level -= 1.0 / (g.b(path[k - 1], path[k]) * r)
-        values[path[k]] = level
-    # propagate to branches hanging off each path vertex
-    on_path = set(path)
-    for p in path:
-        stack = [p]
-        seen = {p} | on_path
-        while stack:
-            u = stack.pop()
-            for w in g.adjacency[u]:
-                if w not in seen:
-                    values[w] = values[p] if u == p else values[u]
-                    seen.add(w)
-                    stack.append(w)
-    scale = 1.0 / (values[x] - values[y])
-    pot = VertexFunction({v: values[v] * scale for v in g.vertices})
-    return ResistanceResult((x, y), r, pot, "tree_path")
-
-
-def series_parallel_resistance(
-    g: WeightedGraph, x: Vertex, y: Vertex
-) -> float | None:
-    """Closed-form reduction for series-parallel instances, or None.
-
-    Alternates three local moves until fixpoint: drop non-terminal leaves,
-    contract non-terminal degree-2 vertices (resistances add in series),
-    and merge the parallel edges that contraction creates (conductances
-    add).  Requires a vanishing killing term.
-    """
-    if g.has_killing():
-        return None
-    cond: dict[Vertex, dict[Vertex, float]] = {
-        v: dict(g.adjacency[v]) for v in g.vertices
-    }
-    terminals = {x, y}
-
-    def drop(u: Vertex) -> None:
-        for w in list(cond[u]):
-            del cond[w][u]
-        del cond[u]
-
-    changed = True
-    while changed:
-        changed = False
-        for u in list(cond):
-            if u in terminals or u not in cond:
-                continue
-            deg = len(cond[u])
-            if deg <= 1:
-                drop(u)
-                changed = True
-            elif deg == 2:
-                (a, ba), (bb, bbb) = cond[u].items()
-                r_new = 1.0 / ba + 1.0 / bbb
-                drop(u)
-                cond[a][bb] = cond[bb][a] = cond[a].get(bb, 0.0) + 1.0 / r_new
-                changed = True
-    if set(cond) == terminals and y in cond[x]:
-        return 1.0 / cond[x][y]
-    return None
 
 
 def free_resistance(
@@ -406,30 +287,3 @@ def rho_diameter_estimate(
                 certified = bound
     return DiameterEstimate(tuple(values), report, status, certified, lower, table)
 
-
-def collapse_set(
-    g: WeightedGraph, targets: Sequence[Vertex], label: Vertex = "__collapsed__"
-) -> WeightedGraph:
-    """Identify a vertex set to a single new vertex, merging parallel weights."""
-    tset = set(targets)
-    if not tset <= set(g.vertices):
-        raise ValidationError(["collapse set contains unknown vertices"])
-    if label in g.index:
-        raise ValidationError([f"collapse label {label!r} already in use"])
-    keep = [v for v in g.vertices if v not in tset]
-    edges: dict[tuple[Vertex, Vertex], float] = {}
-    star: dict[Vertex, float] = {}
-    for (u, v), b in g.edges.items():
-        inu, inv = u in tset, v in tset
-        if inu and inv:
-            continue
-        if inu or inv:
-            out = v if inu else u
-            star[out] = star.get(out, 0.0) + b
-        else:
-            edges[(u, v)] = b
-    for out, b in star.items():
-        edges[(out, label)] = b
-    killing = {v: g.killing[v] for v in keep}
-    killing[label] = math.fsum(g.killing[v] for v in tset)
-    return WeightedGraph(tuple(keep) + (label,), edges, killing)

@@ -33,22 +33,20 @@ from graphlab.heart import compare_metrics, reduce
 from graphlab.metrics import (
     LengthFunction,
     path_metric,
-    sample_unit_energy_functions,
     sigma_from_function,
     verify_intrinsic,
 )
-from graphlab.resistance import (
-    all_pairs_rho,
-    resistance_finite,
-    series_parallel_resistance,
-)
+from graphlab.resistance import all_pairs_rho, resistance_finite
 from graphlab.spectral import assemble, heat, spectrum, zero_multiplicity_matches_components
 
 from conftest import (
+    assert_exact_minimizer,
+    exact_resistance,
     path_graph,
     random_connected_graph,
     random_function,
     random_tree,
+    sample_unit_energy_functions,
 )
 
 
@@ -108,29 +106,19 @@ def test_02_holder_inequalities():
     assert time.monotonic() - start < 10.0
 
 
-@criterion(3, "resistance solver routes agree (pseudoinverse, constrained, reduction)")
+@criterion(3, "resistance solver matches exact rational elimination")
 def test_03_resistance_oracles():
     rng = np.random.default_rng(303)
-    reductions = 0
     for _ in range(100):
         n = int(rng.integers(3, 7))
         g = random_connected_graph(rng, n)
         verts = list(g.vertices)
         x, y = verts[0], verts[-1]
-        a = resistance_finite(g, x, y, "constrained_solve").r
-        b = resistance_finite(g, x, y, "pseudoinverse").r
-        assert abs(a - b) <= 1e-9 * (1 + a)
-        sp = series_parallel_resistance(g, x, y)
-        if sp is not None:
-            reductions += 1
-            assert abs(a - sp) <= 1e-9 * (1 + a)
-    assert reductions >= 50  # the reduction oracle must actually participate
+        exact = float(exact_resistance(g, x, y))
+        assert abs(resistance_finite(g, x, y).r - exact) <= 1e-12 * exact
 
-    def minimizer(res, g):
-        return np.array([complex(res.minimizer[v]).real for v in g.vertices])
-
-    # grounded and pseudoinverse minimizers agree entry by entry, with
-    # killing term and across two components coupled only through it
+    # the minimizer matches the exact one entry by entry, with killing term
+    # and across two components coupled only through it
     rng = np.random.default_rng(3031)
     for trial in range(60):
         n = int(rng.integers(3, 9))
@@ -144,12 +132,9 @@ def test_03_resistance_oracles():
             )
         verts = list(g.vertices)
         x, y = verts[0], verts[-1]
-        a = resistance_finite(g, x, y, "constrained_solve")
-        b = resistance_finite(g, x, y, "pseudoinverse")
-        assert a.coupled_through_killing == bool(trial % 2)
-        assert abs(a.r - b.r) <= 1e-9 * (1 + a.r)
-        diff = np.abs(minimizer(a, g) - minimizer(b, g)).max()
-        assert diff <= 1e-9 * (1 + np.abs(minimizer(b, g)).max())
+        res = resistance_finite(g, x, y)
+        assert res.coupled_through_killing == bool(trial % 2)
+        assert_exact_minimizer(g, res)
     tri = WeightedGraph.build(
         ("a", "b", "c"), {("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 1.0}
     )

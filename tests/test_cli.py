@@ -281,6 +281,40 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: heat semigroup needs a finite t >= 0"]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dirichlet", "--boundary", "0:0=nan", "DOC"],
+             "boundary value at '0:0' is not finite"),
+            (["dirichlet", "--boundary", "0:0=1,1:0=-inf", "DOC"],
+             "boundary value at '1:0' is not finite"),
+            (["capacity", "--family", "comb", "--levels", "4", "--tolerance", "nan"],
+             "tolerance must be finite and > 0, got nan"),
+            (["capacity", "--family", "comb", "--levels", "4", "--tolerance", "inf"],
+             "tolerance must be finite and > 0, got inf"),
+            (["diagnose", "--family", "comb", "--levels", "4", "--tolerance", "nan"],
+             "tolerance must be finite and > 0, got nan"),
+            (["diagnose", "--family", "comb", "--levels", "4", "--tolerance", "0"],
+             "tolerance must be finite and > 0, got 0.0"),
+            (["capacity", "--origin", "0:0", "--ground", "0:0", "DOC"],
+             "origin '0:0' lies in the ground set"),
+        ],
+        ids=["dirichlet_nan", "dirichlet_inf", "capacity_nan", "capacity_inf", "diagnose_nan",
+             "diagnose_zero", "origin_in_ground"],
+    )
+    def test_refused_value_is_2(self, argv, message, comb_doc, tmp_path, capsys):
+        argv = [comb_doc if a == "DOC" else a for a in argv]
+        code, data = run(argv, tmp_path, "out")
+        assert code == 2 and data == b""
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_removed_method_flag_is_a_usage_error(self, comb_doc, capsys):
+        argv = ["resistance", "--method", "pseudoinverse", "--pair", "0:0,1:0", comb_doc]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --method" in capsys.readouterr().err
+
     def test_unknown_vertex_is_named(self, comb_doc, tmp_path, capsys):
         code, data = run(["metric", "--source", "zz", comb_doc], tmp_path, "d.csv")
         assert code == 2 and data == b""

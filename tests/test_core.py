@@ -13,7 +13,6 @@ from graphlab.core import (
     apply_laplacian,
     energy,
     energy_inner,
-    energy_matrix,
     eliminate,
     norm_o,
     quadratic_form_matrix,
@@ -238,15 +237,6 @@ class TestNormO:
     def test_unknown_anchor(self, unit_edge):
         with pytest.raises(UnknownVertexError):
             norm_o(unit_edge, VertexFunction.constant(unit_edge, 1.0), "z")
-
-
-class TestEnergyMatrix:
-    def test_matches_dense_form(self, rng):
-        for _ in range(20):
-            g = random_connected_graph(rng, 9, with_killing=bool(rng.integers(0, 2)))
-            extra = rng.uniform(0.0, 1.0, g.size)
-            A = quadratic_form_matrix(g)
-            assert np.array_equal(energy_matrix(g, extra).toarray(), A + np.diag(extra))
 
 
 class TestEliminate:

@@ -115,6 +115,13 @@ class TestMonitor:
         with pytest.raises(ValidationError):
             monitor([], 1e-3)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_bad_tolerance_rejected(self, tolerance):
+        # nan would compare false against every increment, inf true
+        for seq in ([1.0], [1.0] * 5):
+            with pytest.raises(ValidationError, match="tolerance must be finite and > 0"):
+                monitor(seq, tolerance)
+
 
 @pytest.mark.parametrize(
     "spec",

@@ -15,11 +15,15 @@ from graphlab.harmonic import (
     constant_approximation_defect,
     default_level_ladder,
     solve_dirichlet,
-    two_set_resistance,
 )
-from graphlab.heart import HEART, reduce
 
-from conftest import assert_close, random_connected_graph, random_tree
+from conftest import (
+    assert_close,
+    exact_capacity,
+    exact_solve,
+    random_connected_graph,
+    random_tree,
+)
 
 
 class TestSolveDirichlet:
@@ -87,6 +91,26 @@ class TestSolveDirichlet:
             u2 = solve_dirichlet(DirichletProblem(g, b2)).as_array(g)
             umix = solve_dirichlet(DirichletProblem(g, mix)).as_array(g)
             assert np.abs(umix - (a * u1 + b * u2)).max() <= 1e-9 * (1 + np.abs(umix).max())
+
+    def test_comb_40_against_exact_rationals(self):
+        # weights span 2^0..2^40; values are accurate to a multiple of eps
+        # times max|u| in absolute terms only: u(1:0) is about -1.2e-10
+        g = make(FamilySpec("comb")).build_ball(40).graph
+        data = {"0:0": 1.0, "33:0": -1.0}
+        u = solve_dirichlet(DirichletProblem(g, data))
+        exact = exact_solve(g, fixed=data)
+        want = np.array([float(exact[v]) for v in g.vertices])
+        got = np.array([u[v] for v in g.vertices])
+        assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+        assert want[g.index["1:0"]] == pytest.approx(-1.164e-10, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), complex(0.0, float("nan")),
+                  complex(float("inf"), 1.0)]
+    )
+    def test_nonfinite_boundary_value_refused(self, path24, value):
+        with pytest.raises(ValidationError, match="'2' is not finite"):
+            DirichletProblem(path24, {"0": 0.0, "2": value})
 
     def test_energy_optimality(self, rng):
         g = random_connected_graph(rng, 10)
@@ -159,13 +183,12 @@ class TestCapacity:
             verts = list(g.vertices)
             targets = sorted({verts[int(i)] for i in rng.integers(1, 10, 3)})
             cap = capacity_to_set(g, "0", targets)
-            r = two_set_resistance(g, "0", targets)
-            assert abs(cap - 1.0 / r) <= 1e-9 * (1 + cap)
+            exact = float(exact_capacity(g, "0", targets))
+            assert abs(cap - exact) <= 1e-12 * exact
 
     @pytest.mark.parametrize("killed", [False, True])
     def test_schur_capacity_matches_collapsed_resistance_on_families(self, killed):
-        # with killing term the heart is grounded too: the augmented graph
-        # carries it as the vertex HEART, collapsed with the targets
+        # with killing term the heart is grounded too, merged with the targets
         for name in ("comb", "triangle_ladder", "twin_rays", "ray_power"):
             fam = make(FamilySpec(name, (2.0,) if name == "ray_power" else ()))
             if killed:
@@ -174,15 +197,16 @@ class TestCapacity:
             g, o = b.graph, fam.origin
             targets = sorted(v for v in b.frontier if v != o)
             cap = capacity_to_set(g, o, targets)
-            if killed:
-                r = two_set_resistance(reduce(g).augmented, o, [*targets, HEART])
-            else:
-                r = two_set_resistance(g, o, targets)
-            assert abs(cap * r - 1.0) <= 1e-12, name
+            exact = float(exact_capacity(g, o, targets))
+            assert abs(cap - exact) <= 1e-12 * exact, name
 
     def test_unknown_vertex_is_refused(self, path24):
         with pytest.raises(ValidationError, match="not in graph"):
             capacity_to_set(path24, "0", ["zz"])
+
+    def test_origin_in_ground_set_is_refused(self, path24):
+        with pytest.raises(ValidationError, match="origin '0' lies in the ground set"):
+            capacity_to_set(path24, "0", ["2", "0"])
 
 
 class TestDefect:

@@ -12,7 +12,6 @@ from graphlab.families import FamilySpec, make
 from graphlab.metrics import (
     LengthFunction,
     path_metric,
-    sample_unit_energy_functions,
     set_distance,
     sigma_from_function,
     sigma_upper_bounds,
@@ -27,6 +26,7 @@ from conftest import (
     path_graph,
     random_connected_graph,
     random_function,
+    sample_unit_energy_functions,
 )
 
 

@@ -1,49 +1,44 @@
-"""Effective resistance: solver routes, tree identity, exhaustion limits."""
+"""Effective resistance: exact-rational oracles, tree identity, exhaustion limits."""
 
+from fractions import Fraction
 import math
 
 import numpy as np
 import pytest
 
-from graphlab.core import WeightedGraph, energy, quadratic_form_matrix
+from graphlab.core import WeightedGraph, energy
 from graphlab.errors import InfiniteResistanceError
 from graphlab.exhaustion import induced_subgraph
 from graphlab.families import FamilySpec, make
-from graphlab.metrics import path_metric, sample_unit_energy_functions
+from graphlab.metrics import path_metric
 from graphlab.resistance import (
     all_pairs_rho,
-    collapse_set,
     free_resistance,
     resistance_finite,
-    resistance_tree_path,
     rho,
     rho_diameter_estimate,
     rho_o,
-    series_parallel_resistance,
 )
 
 from conftest import (
     assert_close,
+    assert_exact_minimizer,
     complete_graph,
+    exact_capacity,
+    exact_minimizer,
     exact_resistance,
+    exact_solve,
     path_graph,
     random_connected_graph,
     random_tree,
+    sample_unit_energy_functions,
 )
-
-
-def assert_same_minimizer(g, a, b, tol=1e-9):
-    """Same resistance and same minimizing potential, entry by entry."""
-    assert abs(a.r - b.r) <= tol * (1 + a.r)
-    pa, pb = (np.array([complex(res.minimizer[v]).real for v in g.vertices]) for res in (a, b))
-    assert np.abs(pa - pb).max() <= tol * (1 + np.abs(pb).max())
 
 
 class TestResistanceFinite:
     def test_unit_triangle(self, unit_triangle):
         res = resistance_finite(unit_triangle, "a", "b")
         assert_close(res.r, 2.0 / 3.0)
-        assert_close(series_parallel_resistance(unit_triangle, "a", "b"), 2.0 / 3.0)
 
     def test_path_equals_metric(self, path24):
         res = resistance_finite(path24, "0", "2")
@@ -81,7 +76,7 @@ class TestResistanceFinite:
             assert abs(gap - 1.0) <= 1e-10
             e = energy(g, res.minimizer).energy
             assert abs(e - 1.0 / res.r) <= 1e-9 * (1 + 1 / res.r)
-            assert_same_minimizer(g, res, resistance_finite(g, x, y, "pseudoinverse"))
+            assert_exact_minimizer(g, res)
 
     def test_minimizer_across_components_coupled_through_killing(self, rng):
         # pairs across two killed components, and a pair inside a killed
@@ -103,7 +98,7 @@ class TestResistanceFinite:
                 y = next(v for v in left.vertices if v != x)
             res = resistance_finite(g, x, y)
             assert res.coupled_through_killing == right.has_killing()
-            assert_same_minimizer(g, res, resistance_finite(g, x, y, "pseudoinverse"))
+            assert_exact_minimizer(g, res)
 
     def test_infinite_when_disconnected_without_killing(self):
         g = WeightedGraph.build(("0", "1", "2", "3"), {("0", "1"): 1.0, ("2", "3"): 1.0})
@@ -131,29 +126,66 @@ class TestResistanceFinite:
 
 
 class TestSolverRouteAgreement:
+    """The elimination against exact rational elimination."""
+
     def test_routes_agree_on_random_graphs(self, rng):
         for _ in range(60):
             n = int(rng.integers(3, 7))
             g = random_connected_graph(rng, n, with_killing=bool(rng.integers(0, 2)))
             verts = list(g.vertices)
             x, y = verts[0], verts[-1]
-            a = resistance_finite(g, x, y, "constrained_solve").r
-            b = resistance_finite(g, x, y, "pseudoinverse").r
-            assert abs(a - b) <= 1e-9 * (1 + a)
-            sp = series_parallel_resistance(g, x, y)
-            if sp is not None:
-                assert abs(a - sp) <= 1e-9 * (1 + a)
+            exact = float(exact_resistance(g, x, y))
+            assert abs(resistance_finite(g, x, y).r - exact) <= 1e-12 * exact
 
     def test_tree_route_agrees(self, rng):
+        # on a tree the minimizer ramps by 1/(b r) along the path and is
+        # constant on every branch hanging off it
         for _ in range(20):
             g = random_tree(rng, 20)
             verts = list(g.vertices)
             x, y = (verts[int(i)] for i in rng.integers(0, 20, 2))
             if x == y:
                 continue
-            res = resistance_tree_path(g, x, y)
-            assert_close(res.r, resistance_finite(g, x, y).r, tol=1e-9, rel=True)
-            assert abs(energy(g, res.minimizer).energy - 1 / res.r) <= 1e-9 * (1 + 1 / res.r)
+            res = resistance_finite(g, x, y)
+            assert_exact_minimizer(g, res)
+            assert abs(energy(g, res.minimizer).energy - 1 / res.r) <= 1e-12 * (1 / res.r)
+
+
+class TestExactOracle:
+    """The rational helpers of ``conftest`` against their defining equations."""
+
+    def test_solve_satisfies_the_equations_exactly(self, rng):
+        for trial in range(30):
+            g = random_connected_graph(rng, 8, with_killing=bool(trial % 2))
+            verts = list(g.vertices)
+            fixed = {v: Fraction(int(rng.integers(-3, 4))) for v in verts[: trial % 3]}
+            rhs = {v: int(rng.integers(-3, 4)) for v in verts[trial % 3 :]}
+            floating = not fixed and not g.has_killing()
+            if floating:
+                rhs[verts[-1]] -= sum(rhs.values())
+            u = exact_solve(g, rhs, fixed)
+            for v in verts:
+                if v in fixed:
+                    assert u[v] == fixed[v]
+                    continue
+                lap = Fraction(g.killing[v]) * u[v] + sum(
+                    Fraction(b) * (u[v] - u[w]) for w, b in g.adjacency[v].items()
+                )
+                assert lap == rhs.get(v, 0)
+            if floating:
+                assert sum(u.values()) == 0
+
+    def test_minimizer_and_capacity_match_exact_resistance(self, rng):
+        for trial in range(30):
+            g = random_connected_graph(rng, 8, with_killing=bool(trial % 2))
+            r, pot = exact_minimizer(g, "0", "7")
+            assert r == exact_resistance(g, "0", "7")
+            assert pot["0"] - pot["7"] == 1
+            e = sum(Fraction(b) * (pot[u] - pot[v]) ** 2 for (u, v), b in g.edges.items())
+            e += sum(Fraction(c) * pot[v] ** 2 for v, c in g.killing.items())
+            assert e == 1 / r
+            if not g.has_killing():
+                assert exact_capacity(g, "0", ["7"]) == 1 / r
 
 
 class TestTreeIdentity:
@@ -205,17 +237,18 @@ class TestAllPairs:
             with pytest.raises(InfiniteResistanceError, match="all-pairs"):
                 all_pairs_rho(g)
 
-    def test_two_killed_components_match_the_pseudoinverse(self):
+    def test_two_killed_components_match_exact_rationals(self):
         g = WeightedGraph.build(
             tuple("abcde"),
             {("a", "b"): 1.0, ("b", "c"): 3.0, ("d", "e"): 0.5},
             {"a": 0.25, "e": 2.0},
         )
-        G = np.linalg.pinv(quadratic_form_matrix(g), hermitian=True)
-        diag = np.diag(G)
-        want = np.sqrt(diag[:, None] + diag[None, :] - 2.0 * G)
+        want = np.array(
+            [[math.sqrt(exact_resistance(g, x, y)) if x != y else 0.0 for y in g.vertices]
+             for x in g.vertices]
+        )
         got = all_pairs_rho(g)
-        assert np.abs(got - want).max() <= 1e-12 * want.max()
+        assert np.abs(got - want).max() <= 1e-14 * want.max()
         # the cross-component entries couple through the killing term only
         assert np.all(got[:3, 3:] > 0)
 
@@ -373,7 +406,3 @@ class TestDiameterEstimates:
         assert est.status == "infinite"
         assert est.lower_bound >= math.sqrt(15.0) - 1e-9
 
-
-def test_collapse_set_merges_weights(unit_triangle):
-    merged = collapse_set(unit_triangle, ["b", "c"], "bc")
-    assert dict(merged.edges) == {("a", "bc"): 2.0}
