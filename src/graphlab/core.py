@@ -638,7 +638,10 @@ class GroundedFactor:
         """Full-length u with A u = rhs on the eliminated vertices, u equal to
         ``fixed_values`` (in vertex order) on the fixed ones, and mean zero
         on every floating component.  Complex data takes one real solve per
-        part."""
+        part.  A partial sum of the back substitution reaches max|data|
+        times a pivot; where that would come near overflow, the data are
+        scaled by a power of two (exactly) and the solution scaled back,
+        held to the data's range with 0 when only Dirichlet data are given."""
         if np.iscomplexobj(rhs) or np.iscomplexobj(fixed_values):
             real, imag = (
                 self.solve(*(None if z is None else part(z) for z in (rhs, fixed_values)))
@@ -646,6 +649,11 @@ class GroundedFactor:
             )
             return real + 1j * imag
         rec = self._record
+        big = max([0.0] + [float(np.abs(z).max(initial=0.0)) for z in (rhs, fixed_values) if z is not None])
+        # 2^1000 leaves headroom below the float maximum of ~2^1024
+        scale = math.ldexp(1.0, -math.frexp(big)[1]) if big * max(rec.pivots, default=0.0) > 2.0**1000 else 1.0
+        if scale != 1.0:
+            rhs, fixed_values = (None if z is None else z * scale for z in (rhs, fixed_values))
         steps = list(zip(rec.order.tolist(), rec.stars, rec.pivots))
         # slot n of x is the heart, held at zero like every terminal
         x = [0.0] * (self.size + 1) if rhs is None else [*rhs.tolist(), 0.0]
@@ -669,7 +677,11 @@ class GroundedFactor:
         u = np.array(x[:-1])
         for comp in self.floating:
             u[comp] -= u[comp].mean(axis=0)
-        return u
+        if scale != 1.0 and rhs is None:
+            # the maximum principle keeps u between the data and 0: hold
+            # rounding there, where scaling back cannot overflow
+            np.clip(u, min(fixed_values.min(), 0.0), max(fixed_values.max(), 0.0), out=u)
+        return u if scale == 1.0 else u / scale
 
 
 def validate_graph(g: WeightedGraph, m: Measure | None = None) -> list[str]:

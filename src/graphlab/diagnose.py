@@ -223,15 +223,11 @@ def diagnose_family(
     g_top = top_ball.graph
     c_zero = (fam.facts.c_zero if fam.facts else None) or not g_top.has_killing()
 
-    idx_top = g_top.index
-    level_members = [
-        [idx_top[v] for v in fam.build_ball(n).graph.vertices] for n in probes
-    ]
-    origin_idx = idx_top[fam.origin]
-
     d_top = path_metric(g_top)
-    d_nets = _net_evidence(d_top.dist, level_members, origin_idx, net_cap)
     diam = rho_diameter_estimate(fam, probes, tolerance)
+    level_members = list(diam.members)
+    origin_idx = g_top.index[fam.origin]
+    d_nets = _net_evidence(d_top.dist, level_members, origin_idx, net_cap)
     rho_nets = _net_evidence(diam.table, level_members, origin_idx, net_cap)
 
     conditions: dict[str, ConditionReport] = {}

@@ -5,7 +5,10 @@ package really runs on an increasing sequence of finite balls.  A ball
 carries its frontier (the vertices that still touch the unseen part of
 the graph) so downstream operators can choose to kill it (Dirichlet) or
 keep the induced form (Neumann).  Limits along the sequence are never
-reported bare: they come with a ConvergenceReport.
+reported bare: they come with a ConvergenceReport.  ``climb`` is the one
+place that walks a ladder of levels: every exhaustion sequence in the
+package (capacities, resistances, diameters, traces, defects, heart
+energies) is a per-level value handed to it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import math
 
 from .core import Measure, Vertex, WeightedGraph
-from .errors import UnknownVertexError, ValidationError
+from .errors import ConsistencyError, UnknownVertexError, ValidationError
 
 
 def hop_distances(g: WeightedGraph, o: Vertex, n: int | None = None) -> dict:
@@ -103,28 +106,28 @@ def monitor(
     Never claims convergence from fewer than ``window``+1 terms.  The
     tolerance must be finite and positive.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValidationError([f"tolerance must be finite and > 0, got {tolerance!r}"])
+    _require_tolerance(tolerance)
     values = tuple(float(v) for v in seq)
     if not values:
         raise ValidationError(["cannot monitor an empty sequence"])
-    if len(values) == 1:
-        return ConvergenceReport(values, tolerance, "inconclusive", float("nan"), window)
-    increments = [abs(values[k] - values[k - 1]) for k in range(1, len(values))]
-    last = increments[-1]
-    tail = increments[-window:]
-    if len(increments) >= window and all(inc < tolerance for inc in tail):
-        status = "converged"
-    elif (
-        ceiling is not None
-        and values[-1] > ceiling
-        and len(increments) >= window
-        and all(inc > tolerance for inc in tail)
-    ):
-        status = "diverging"
-    else:
-        status = "inconclusive"
-    return ConvergenceReport(values, tolerance, status, last, window)
+    last = abs(values[-1] - values[-2]) if len(values) > 1 else float("nan")
+    return ConvergenceReport(values, tolerance, _status(values, tolerance, window, ceiling), last, window)
+
+
+def _require_tolerance(tolerance: float) -> None:
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValidationError([f"tolerance must be finite and > 0, got {tolerance!r}"])
+
+
+def _status(values: Sequence[float], tolerance: float, window: int = 3,
+            ceiling: float | None = None) -> str:
+    if len(values) <= window:
+        return "inconclusive"
+    tail = [abs(b - a) for a, b in zip(values[-window - 1:-1], values[-window:])]
+    if all(inc < tolerance for inc in tail):
+        return "converged"
+    diverging = ceiling is not None and values[-1] > ceiling and all(inc > tolerance for inc in tail)
+    return "diverging" if diverging else "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -193,19 +196,39 @@ class GraphFamily:
 
 def check_family_consistency(fam: GraphFamily, levels: Sequence[int]) -> None:
     """Verify the exhaustion invariants on the given levels; raise on failure."""
-    prev: Ball | None = None
-    prev_n: int | None = None
-    for n in sorted(levels):
-        cur = fam.build_ball(n)
-        if prev is not None:
-            pv = set(prev.graph.vertices)
-            if not pv <= set(cur.graph.vertices):
-                raise ValidationError(
-                    [f"{fam.name}: ball {prev_n} is not contained in ball {n}"]
-                )
-            sub = induced_subgraph(cur.graph, prev.graph.vertices)
-            if dict(sub.edges) != dict(prev.graph.edges):
-                raise ValidationError(
-                    [f"{fam.name}: edge weights disagree between levels {prev_n} and {n}"]
-                )
-        prev, prev_n = cur, n
+    levels = sorted(levels)
+    for m, n in zip(levels, levels[1:]):
+        prev, cur = fam.build_ball(m).graph, fam.build_ball(n).graph
+        if not set(prev.vertices) <= set(cur.vertices):
+            raise ValidationError([f"{fam.name}: ball {m} is not contained in ball {n}"])
+        if dict(induced_subgraph(cur, prev.vertices).edges) != dict(prev.edges):
+            raise ValidationError([f"{fam.name}: edge weights disagree between levels {m} and {n}"])
+
+
+def climb(fam: GraphFamily, levels: Iterable[int], value: Callable[[int, Ball], float | None],
+          tolerance: float, trend: int = 0, stop: bool = False,
+          ) -> tuple[tuple[int, ...], ConvergenceReport]:
+    """Walk the distinct levels upward, recording ``value(n, ball n)``; a
+    ``None`` value skips its level.  A step against the declared ``trend``
+    (+1 nondecreasing, -1 nonincreasing) by more than 1e-10 raises
+    ConsistencyError; with ``stop`` the walk ends at the first converged
+    level.  An empty ladder, or one where no level gave a value, raises
+    ValidationError.  Returns the levels that gave a value and their report."""
+    _require_tolerance(tolerance)
+    if not (levels := sorted(set(levels))):
+        raise ValidationError([f"{fam.name}: the level ladder is empty"])
+    used, values = [], []
+    for n in levels:
+        if (v := value(n, fam.build_ball(n))) is None:
+            continue
+        v = float(v)
+        if values and trend * (v - values[-1]) < -1e-10:
+            raise ConsistencyError(f"{fam.name}: value {'rose' if trend < 0 else 'fell'} "
+                                   f"from {values[-1]} to {v} at level {n}, against the ladder's trend")
+        used.append(n)
+        values.append(v)
+        if stop and _status(values, tolerance) == "converged":
+            break
+    if not values:
+        raise ValidationError([f"{fam.name}: no level of the ladder {levels[0]}..{levels[-1]} gave a value"])
+    return tuple(used), monitor(values, tolerance)

@@ -31,17 +31,6 @@ from .exhaustion import (
     induced_subgraph,
 )
 
-FAMILY_NAMES = (
-    "finite_path",
-    "finite_tree",
-    "random_tree",
-    "ray_power",
-    "comb",
-    "triangle_ladder",
-    "twin_rays",
-    "star_augmented",
-)
-
 MEASURE_RULES = ("unit", "canonical", "geometric")
 
 
@@ -53,10 +42,6 @@ class FamilySpec:
     params: tuple = ()
     measure: str = "unit"
     measure_param: float | None = None
-
-    def describe(self) -> str:
-        ps = ",".join(str(p) for p in self.params)
-        return f"{self.name}({ps})/{self.measure}"
 
 
 def _measure_for(

@@ -25,8 +25,8 @@ from .core import (
     WeightedGraph,
     eliminate,
 )
-from .errors import ConsistencyError, SingularSystemError, ValidationError
-from .exhaustion import ConvergenceReport, GraphFamily, monitor
+from .errors import SingularSystemError, ValidationError
+from .exhaustion import Ball, ConvergenceReport, GraphFamily, climb
 
 
 @dataclass(frozen=True)
@@ -163,27 +163,19 @@ def capacity(
     transient.
     """
     o = fam.origin if o is None else o
-    if levels is None:
-        levels = default_level_ladder(64)
-    used: list[int] = []
-    values: list[float] = []
-    for n in sorted(set(levels)):
-        b = fam.build_ball(n)
+
+    def grounded(n: int, b: Ball) -> float | None:
         if o not in b.graph.index:
             raise ValidationError([f"origin {o!r} missing from ball {n}"])
         ground = [v for v in b.frontier if v != o]
         if not ground and o in b.frontier:
-            continue  # ball too small to separate the origin from its frontier
-        cap = capacity_to_set(b.graph, o, ground) if ground else 0.0
-        if values and cap > values[-1] + 1e-10:
-            raise ConsistencyError(
-                f"capacity increased from {values[-1]} to {cap} at level {n}"
-            )
-        used.append(n)
-        values.append(cap)
-    report = monitor(values, tolerance)
+            return None  # ball too small to separate the origin from its frontier
+        return capacity_to_set(b.graph, o, ground) if ground else 0.0
+
+    ladder = default_level_ladder(64) if levels is None else levels
+    used, report = climb(fam, ladder, grounded, tolerance, trend=-1)
     verdict = _classify_limit(report, threshold, "recurrent", "transient")
-    return CapacitySequence(o, tuple(used), tuple(values), report, verdict, threshold)
+    return CapacitySequence(o, used, report.values, report, verdict, threshold)
 
 
 def default_level_ladder(top: int, tail: int = 3) -> list[int]:
@@ -228,25 +220,22 @@ def constant_approximation_defect(
     limit means the Dirichlet and Neumann forms coincide (recurrence); a
     floor means they differ.
     """
-    levels = sorted(set(levels))
-    values = []
-    for n in levels:
+
+    def defect(n: int, ball_n: Ball) -> float:
         ref = fam.build_ball(max(reference_factor * n, n + 1))
         if ref.measure is None:
             raise ValidationError([f"family {fam.name} supplies no measure"])
-        ball_n = fam.build_ball(n)
         g = ref.graph
         m = ref.measure
         support = set(ball_n.graph.vertices) - set(ball_n.frontier)
         outside = [g.index[v] for v in g.vertices if v not in support]
         if len(outside) == g.size:
-            values.append(float(m.total))
-            continue
+            return float(m.total)
         # 1 on every fixed vertex and 0 at the heart: the energy is the
         # heart's total weight in the Schur complement onto them
         rec = eliminate(g, outside, m.as_array(g))
-        values.append(float(rec.schur_diagonal[0]))
-    report = monitor(values, tolerance)
-    verdict = _classify_limit(report, threshold, "vanishing", "positive")
-    return DefectSequence(tuple(levels), tuple(values), report, verdict, threshold)
+        return float(rec.schur_diagonal[0])
 
+    used, report = climb(fam, levels, defect, tolerance)
+    verdict = _classify_limit(report, threshold, "vanishing", "positive")
+    return DefectSequence(used, report.values, report, verdict, threshold)

@@ -18,7 +18,7 @@ import math
 
 from .core import Vertex, VertexFunction, WeightedGraph, energy
 from .errors import ValidationError
-from .exhaustion import ConvergenceReport, GraphFamily, monitor
+from .exhaustion import Ball, ConvergenceReport, GraphFamily, climb
 from .harmonic import DirichletProblem, solve_dirichlet
 from .metrics import LengthFunction, path_metric
 from .resistance import resistance_finite
@@ -108,33 +108,32 @@ def harmonic_component_exhaustion(
     """Level-wise approximants of the harmonic component on a family whose
     balls carry killing term.
 
-    Each level grounds the frontier at 0 and holds the heart at 1; the
-    grounded solves increase in energy toward the limit object.  The
-    approximant is normalized to unit energy when the monitored energies
-    stay away from zero (otherwise the constant flag is reported, which
-    is the recurrent case).
+    Each level grounds the frontier at 0 and holds the heart at 1.  The
+    grounded energies are monitored, not monotone: on ``ray_power:3``
+    with killing 2^-v they rise up to level 9 and fall after it.  The
+    approximant is normalized to unit energy when the last energy stays
+    away from zero (otherwise the constant flag is reported, which is the
+    recurrent case).
     """
-    energies: list[float] = []
-    last_u: VertexFunction | None = None
-    last_hg: HeartGraph | None = None
-    for n in sorted(set(levels)):
-        ball = fam.build_ball(n)
+    last: tuple[HeartGraph, VertexFunction] | None = None
+
+    def grounded(n: int, ball: Ball) -> float:
+        nonlocal last
         if not ball.graph.has_killing():
             raise ValidationError([f"family {fam.name} carries no killing term"])
         hg = reduce(ball.graph)
         bvals: dict[Vertex, complex] = {v: 0.0 for v in ball.frontier}
         bvals[hg.heart_id] = 1.0
         u = solve_dirichlet(DirichletProblem(hg.augmented, bvals))
-        energies.append(energy(hg.augmented, u).energy)
-        last_u, last_hg = u, hg
-    report = monitor(energies, tolerance)
-    if energies[-1] < CONSTANT_ENERGY_TOL:
+        last = hg, u
+        return energy(hg.augmented, u).energy
+
+    _, report = climb(fam, levels, grounded, tolerance)
+    if report.limit < CONSTANT_ENERGY_TOL:
         return HarmonicComponent(constant=True, report=report)
-    assert last_u is not None and last_hg is not None
-    scale = 1.0 / math.sqrt(energies[-1])
-    rep = VertexFunction(
-        {v: last_u[v] * scale for v in last_hg.augmented.vertices}
-    )
+    hg, u = last
+    scale = 1.0 / math.sqrt(report.limit)
+    rep = VertexFunction({v: u[v] * scale for v in hg.augmented.vertices})
     return HarmonicComponent(constant=False, representative=rep, report=report)
 
 

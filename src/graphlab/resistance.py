@@ -30,9 +30,8 @@ from .errors import (
     ConsistencyError,
     InfiniteResistanceError,
     UnknownVertexError,
-    ValidationError,
 )
-from .exhaustion import ConvergenceReport, GraphFamily, monitor
+from .exhaustion import Ball, ConvergenceReport, GraphFamily, climb
 from .metrics import LengthFunction, path_metric
 
 
@@ -148,31 +147,19 @@ def free_resistance(
     rounding indicates a solver bug and raises ConsistencyError.
     """
     n0 = start_level if start_level is not None else fam.find_level((x, y), max_level)
-    values: list[float] = []
     last: ResistanceResult | None = None
     beyond = False
-    for n in range(n0, max_level + 1):
-        ball_n = fam.build_ball(n)
-        if ball_n.graph.has_killing():
-            beyond = True
-        last = resistance_finite(ball_n.graph, x, y)
-        if values and last.r > values[-1] + 1e-10:
-            raise ConsistencyError(
-                f"resistance increased from {values[-1]} to {last.r} at level {n}"
-            )
-        values.append(last.r)
-        report = monitor(values, tolerance)
-        if report.converged:
-            break
-    report = monitor(values, tolerance)
-    assert last is not None
+
+    def pair(n: int, b: Ball) -> float:
+        nonlocal last, beyond
+        beyond = beyond or b.graph.has_killing()
+        last = resistance_finite(b.graph, x, y)
+        return last.r
+
+    _, report = climb(fam, range(n0, max_level + 1), pair, tolerance, trend=-1, stop=True)
     return ResistanceResult(
-        (x, y),
-        values[-1],
-        last.minimizer,
-        "exhaustion",
-        beyond_local_scope=beyond,
-        report=report,
+        (x, y), report.limit, last.minimizer, "exhaustion",
+        beyond_local_scope=beyond, report=report,
     )
 
 
@@ -223,7 +210,8 @@ def all_pairs_rho(g: WeightedGraph) -> np.ndarray:
 class DiameterEstimate:
     """Resistance-diameter profile over probe levels.  ``table`` is the
     ``all_pairs_rho`` matrix of the top ball (rows by its ``graph.index``)
-    that every value was read from; callers reuse it instead of solving."""
+    that every value was read from, and ``members`` lists each level's
+    rows in it; callers reuse both instead of solving."""
 
     values: tuple[float, ...]
     report: ConvergenceReport
@@ -231,6 +219,7 @@ class DiameterEstimate:
     certified_bound: float | None
     lower_bound: float
     table: np.ndarray = field(repr=False, compare=False)
+    members: tuple[list[int], ...] = field(repr=False, compare=False)
 
 
 def rho_diameter_estimate(
@@ -242,25 +231,27 @@ def rho_diameter_estimate(
 
     Subgraph resistances overestimate the limit values, so the sequence
     (max over pairs of ball-n vertices, evaluated on the largest ball) is
-    a certified upper-bound profile: its last value bounds the diameter of
-    the probed region from above, and from below only on trees, where it
-    is exact.  ``finite`` status needs both convergence and a generator
-    tail certificate; ``infinite`` needs a certified divergent lower bound
-    (trees with divergent path metric along a spine).
+    a certified upper-bound profile, nondecreasing as the balls nest: its
+    last value bounds the diameter of the probed region from above, and
+    from below only on trees, where it is exact.  ``finite`` status needs
+    both convergence and a generator tail certificate; ``infinite`` needs
+    a certified divergent lower bound (trees with divergent path metric
+    along a spine).
     """
-    levels = sorted(set(levels))
-    if not levels:
-        raise ValidationError(["need at least one level"])
-    top = fam.build_ball(levels[-1])
+    top = fam.build_ball(max(levels, default=0))  # climb refuses an empty ladder
     table = all_pairs_rho(top.graph)
     idx = top.graph.index
-    values = []
-    for n in levels:
-        members = [idx[v] for v in fam.build_ball(n).graph.vertices]
+    members: list[list[int]] = []
+
+    def diameter(n: int, b: Ball) -> float:
+        rows = [idx[v] for v in b.graph.vertices]
+        members.append(rows)
         # the top level reads the table in place, not a copy of all of it
-        sub = table if members == list(range(len(table))) else table[np.ix_(members, members)]
-        values.append(float(sub.max()) if sub.size else 0.0)
-    report = monitor(values, tolerance)
+        sub = table if rows == list(range(len(table))) else table[np.ix_(rows, rows)]
+        return float(sub.max()) if sub.size else 0.0
+
+    used, report = climb(fam, levels, diameter, tolerance, trend=1)
+    values = report.values
 
     facts = fam.facts
     status = "inconclusive"
@@ -271,19 +262,19 @@ def rho_diameter_estimate(
             # on trees the squared metric is the path metric, so a
             # divergent spine certifies an infinite diameter
             d = path_metric(top.graph, LengthFunction.inverse_b(), source=fam.origin)
-            lower = math.sqrt(d.distance(fam.origin, fam.spine(levels[-1])))
+            lower = math.sqrt(d.distance(fam.origin, fam.spine(used[-1])))
             status = "infinite"
         else:
             bound = None
             if facts.d_diameter_bound is not None:
                 bound = math.sqrt(facts.d_diameter_bound)
             if facts.r_spine_tail is not None:
-                tail = facts.r_spine_tail(levels[-1])
-                off = facts.offspine_r_bound(levels[-1]) if facts.offspine_r_bound else 0.0
+                tail = facts.r_spine_tail(used[-1])
+                off = facts.offspine_r_bound(used[-1]) if facts.offspine_r_bound else 0.0
                 spine_bound = values[-1] + math.sqrt(tail) + 2.0 * math.sqrt(off)
                 bound = spine_bound if bound is None else min(bound, spine_bound)
             if bound is not None and report.converged:
                 status = "finite"
                 certified = bound
-    return DiameterEstimate(tuple(values), report, status, certified, lower, table)
+    return DiameterEstimate(values, report, status, certified, lower, table, tuple(members))
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Measure, Vertex, WeightedGraph, quadratic_form_matrix
 from .errors import UnknownVertexError, ValidationError
-from .exhaustion import ConvergenceReport, GraphFamily, monitor
+from .exhaustion import Ball, ConvergenceReport, GraphFamily, climb
 
 ZERO_EIGENVALUE_TOL = 1e-10
 
@@ -36,7 +36,6 @@ class TruncatedOperator:
     kind: str  # "neumann" | "dirichlet"
     vertices: tuple[Vertex, ...]
     matrix: np.ndarray
-    form_matrix: np.ndarray
     measure: np.ndarray
     boundary: tuple[Vertex, ...] = ()
 
@@ -86,7 +85,7 @@ def assemble(
     dhalf = 1.0 / np.sqrt(marr)
     sym = dhalf[:, None] * A * dhalf[None, :]
     sym = 0.5 * (sym + sym.T)
-    return TruncatedOperator(kind, tuple(support), sym, A, marr, boundary)
+    return TruncatedOperator(kind, tuple(support), sym, marr, boundary)
 
 
 @dataclass(frozen=True)
@@ -158,14 +157,15 @@ def trace_convergence(
     """Partial traces of the Dirichlet semigroup across exhaustion levels.
 
     Each level kills its frontier; bounded increments across levels are
-    the finite-scale evidence for a trace-class limit.  The family must
-    supply a measure.
+    the finite-scale evidence for a trace-class limit.  The traces are
+    nondecreasing: each level's domain contains the last one's, so its
+    Dirichlet eigenvalues lie lower, and there are more of them.  The
+    family must supply a measure.
     """
     if not 0 <= t < np.inf:
         raise ValidationError(["trace monitoring needs a finite t >= 0"])
-    traces = []
-    for n in sorted(set(levels)):
-        b = fam.build_ball(n)
+
+    def trace(n: int, b: Ball) -> float:
         if b.measure is None:
             raise ValidationError([f"family {fam.name} supplies no measure"])
         if not b.frontier:
@@ -173,11 +173,10 @@ def trace_convergence(
         else:
             op = assemble(b.graph, b.measure, "dirichlet", b.frontier)
         if t == 0:
-            traces.append(float(op.size))
-        else:
-            evals = np.linalg.eigvalsh(op.matrix)
-            traces.append(float(np.exp(-t * evals).sum()))
-    return monitor(traces, tolerance)
+            return float(op.size)
+        return float(np.exp(-t * np.linalg.eigvalsh(op.matrix)).sum())
+
+    return climb(fam, levels, trace, tolerance, trend=1)[1]
 
 
 def zero_multiplicity_matches_components(

@@ -298,15 +298,36 @@ class TestExitCodes:
              "tolerance must be finite and > 0, got 0.0"),
             (["capacity", "--origin", "0:0", "--ground", "0:0", "DOC"],
              "origin '0:0' lies in the ground set"),
+            (["capacity", "--family", "comb", "--levels", "0"],
+             "comb: the level ladder is empty"),
         ],
         ids=["dirichlet_nan", "dirichlet_inf", "capacity_nan", "capacity_inf", "diagnose_nan",
-             "diagnose_zero", "origin_in_ground"],
+             "diagnose_zero", "origin_in_ground", "capacity_empty_ladder"],
     )
     def test_refused_value_is_2(self, argv, message, comb_doc, tmp_path, capsys):
         argv = [comb_doc if a == "DOC" else a for a in argv]
         code, data = run(argv, tmp_path, "out")
         assert code == 2 and data == b""
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_diagnose_probes_ball_zero(self, tmp_path):
+        # unlike an empty capacity ladder, level 0 is a valid probe
+        code, data = run(["diagnose", "--family", "comb", "--levels", "0"], tmp_path, "d.json")
+        assert code == 0
+        assert json.loads(data)["conditions"]["A"]["evidence"]["probe_levels"] == [0]
+
+    @pytest.mark.parametrize(
+        "levels, boundary, bound",
+        [("4", "0:0=1e308,4:0=-1e308", 1e308), ("40", "0:0=1e300,33:0=-1e300", 1e300)],
+    )
+    def test_dirichlet_data_near_the_float_maximum(self, levels, boundary, bound, tmp_path):
+        code, _ = run(["gen", "--family", "comb", "--levels", levels], tmp_path, "comb.json")
+        assert code == 0
+        doc = str(tmp_path / "comb.json")
+        code, data = run(["dirichlet", "--boundary", boundary, doc], tmp_path, "sol.csv")
+        assert code == 0
+        values = [float(line.split(",")[1]) for line in data.decode().splitlines()[1:]]
+        assert all(math.isfinite(v) and -bound <= v <= bound for v in values)
 
     def test_removed_method_flag_is_a_usage_error(self, comb_doc, capsys):
         argv = ["resistance", "--method", "pseudoinverse", "--pair", "0:0,1:0", comb_doc]

@@ -2,16 +2,22 @@
 
 import pytest
 
-from graphlab.core import WeightedGraph
-from graphlab.errors import UnknownVertexError, ValidationError
+from graphlab.core import Measure, WeightedGraph
+from graphlab.errors import ConsistencyError, UnknownVertexError, ValidationError
 from graphlab.exhaustion import (
+    Ball,
+    GraphFamily,
     ball,
     check_family_consistency,
+    climb,
     hop_distances,
     induced_subgraph,
     monitor,
 )
 from graphlab.families import FamilySpec, make
+from graphlab.harmonic import capacity
+from graphlab.resistance import free_resistance
+from graphlab.spectral import trace_convergence
 
 from conftest import path_graph
 
@@ -161,3 +167,89 @@ def test_frontier_matches_next_level():
                 if any(y in new for y in nxt.graph.adjacency[v])
             }
             assert set(cur.frontier) == expected
+
+
+def unnested_family() -> GraphFamily:
+    """Unit-measure path balls whose edge weights are 4 at odd levels and
+    1 at even ones, so ball n+1 disagrees with ball n on every common edge."""
+
+    def build_ball(n: int) -> Ball:
+        vertices = tuple(str(k) for k in range(1, n + 2))
+        weight = 4.0 if n % 2 else 1.0
+        edges = {(str(k), str(k + 1)): weight for k in range(1, n + 1)}
+        g = WeightedGraph(vertices, edges, {v: 0.0 for v in vertices})
+        return Ball(g, frozenset({str(n + 1)}), Measure.unit(g))
+
+    return GraphFamily("unnested", "1", build_ball)
+
+
+class TestClimb:
+    def test_sorted_distinct_levels_and_skips(self):
+        fam = make(FamilySpec("finite_path", (6,)))
+        seen = []
+
+        def value(n, b):
+            seen.append(n)
+            assert b is fam.build_ball(n)
+            return None if n == 2 else float(n)
+
+        used, report = climb(fam, [3, 1, 3, 2, 1], value, 1e-3)
+        assert seen == [1, 2, 3]
+        assert used == (1, 3) and report.values == (1.0, 3.0)
+
+    def test_stop_ends_at_the_first_converged_level(self):
+        fam = make(FamilySpec("finite_path", (6,)))
+        used, report = climb(fam, range(10), lambda n, b: 1.0, 1e-3, stop=True)
+        assert used == (0, 1, 2, 3) and report.converged
+        used, _ = climb(fam, range(10), lambda n, b: 1.0, 1e-3)
+        assert used == tuple(range(10))
+
+    def test_trend_guard_allows_rounding_only(self):
+        fam = make(FamilySpec("finite_path", (6,)))
+        wobble = climb(fam, range(6), lambda n, b: (-1.0) ** n * 1e-11, 1e-3, trend=1)
+        assert wobble[1].values[-1] == -1e-11
+        with pytest.raises(ConsistencyError, match="rose from 1.0 to 2.0 at level 1"):
+            climb(fam, [0, 1], lambda n, b: float(n + 1), 1e-3, trend=-1)
+        with pytest.raises(ConsistencyError, match="fell from 2.0 to 1.0 at level 1"):
+            climb(fam, [0, 1], lambda n, b: float(2 - n), 1e-3, trend=1)
+        # no declared trend: the same steps pass
+        assert climb(fam, [0, 1], lambda n, b: float(n + 1), 1e-3)[0] == (0, 1)
+
+    def test_empty_ladder_refused(self):
+        fam = make(FamilySpec("comb"))
+        with pytest.raises(ValidationError, match="comb: the level ladder is empty"):
+            climb(fam, [], lambda n, b: 1.0, 1e-3)
+
+    def test_ladder_without_values_refused(self):
+        fam = make(FamilySpec("comb"))
+        with pytest.raises(ValidationError, match="no level of the ladder 0..2 gave a value"):
+            climb(fam, [2, 0], lambda n, b: None, 1e-3)
+
+    def test_bad_tolerance_refused_before_any_level(self):
+        fam = make(FamilySpec("comb"))
+        calls = []
+        with pytest.raises(ValidationError, match="tolerance must be finite"):
+            climb(fam, [1, 2], lambda n, b: calls.append(n), float("nan"))
+        assert calls == []
+
+
+class TestTrendGuards:
+    """Nested balls make capacities and resistances nonincreasing and
+    Dirichlet traces nondecreasing; a family that breaks nesting must be
+    caught by the guard, not monitored as if it converged."""
+
+    def test_family_is_not_nested(self):
+        with pytest.raises(ValidationError, match="edge weights disagree"):
+            check_family_consistency(unnested_family(), range(1, 4))
+
+    def test_capacity(self):
+        with pytest.raises(ConsistencyError, match="unnested: value rose"):
+            capacity(unnested_family(), levels=range(1, 6))
+
+    def test_free_resistance(self):
+        with pytest.raises(ConsistencyError, match="unnested: value rose"):
+            free_resistance(unnested_family(), "1", "2", max_level=6)
+
+    def test_trace_convergence(self):
+        with pytest.raises(ConsistencyError, match="unnested: value fell"):
+            trace_convergence(unnested_family(), 1.0, range(1, 6))

@@ -1,5 +1,7 @@
 """Family builders: weights, measures, witnesses and counterexample behavior."""
 
+import math
+
 import pytest
 
 from graphlab.core import WeightedGraph
@@ -16,6 +18,35 @@ from graphlab.metrics import path_metric, verify_intrinsic
 from graphlab.resistance import resistance_finite
 
 from conftest import assert_close
+
+
+class TestAnalyticFacts:
+    """The closed forms a builder certifies agree with its finite balls."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FamilySpec("ray_power", (2.0,)),
+            FamilySpec("ray_power", (3.0,)),
+            FamilySpec("finite_path", (5, (1.0, 2.0, 0.5, 4.0, 3.0))),
+        ],
+        ids=["ray_power2", "ray_power3", "finite_path"],
+    )
+    def test_inverse_weight_tail_completes_the_total(self, spec):
+        fam = make(spec)
+        facts = fam.facts
+        for n in (0, 1, 2, 5, 17, 64, 200):
+            head = math.fsum(1.0 / b for b in fam.build_ball(n).graph.edges.values())
+            assert abs(head + facts.inv_b_tail(n) - facts.inv_b_total) <= 1e-12 * facts.inv_b_total
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("measure, ratio", [("canonical", None), ("geometric", 0.5)])
+    def test_ray_ball_masses_stay_below_the_total(self, p, measure, ratio):
+        fam = make(FamilySpec("ray_power", (p,), measure, ratio))
+        total = fam.facts.total_measure[measure]
+        masses = [fam.build_ball(n).measure.total for n in range(100)]
+        assert all(a <= b for a, b in zip(masses, masses[1:]))
+        assert masses[-1] <= total
 
 
 class TestWeights:

@@ -104,6 +104,17 @@ class TestSolveDirichlet:
         assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
         assert want[g.index["1:0"]] == pytest.approx(-1.164e-10, rel=1e-3)
 
+    def test_comb_40_data_near_the_float_maximum(self):
+        # 1e300 times a pivot near 2^41 overflows unless the solve rescales
+        g = make(FamilySpec("comb")).build_ball(40).graph
+        data = {"0:0": 1e300, "33:0": -1e300}
+        u = solve_dirichlet(DirichletProblem(g, data))
+        exact = exact_solve(g, fixed=data)
+        want = np.array([float(exact[v]) for v in g.vertices])
+        got = np.array([u[v] for v in g.vertices])
+        assert np.isfinite(got).all() and np.abs(got).max() <= 1e300
+        assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * 1e300
+
     @pytest.mark.parametrize(
         "value", [float("nan"), float("inf"), -float("inf"), complex(0.0, float("nan")),
                   complex(float("inf"), 1.0)]
