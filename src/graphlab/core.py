@@ -20,12 +20,14 @@ records a star–mesh elimination in edge form, with the killing term as
 edges to a heart terminal, whose pivots are sums of positive weights, so
 no digit cancels.  ``GroundedFactor`` solves by substitution over that
 record; the all-pairs resistance table and Schur-complement capacities
-read it too.
+read it too.  ``_sweep`` is the one reverse sweep that reads an
+elimination record into an all-pairs table: the resistance table from
+this one, the path-metric table from the (min, +) one in ``metrics``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 import heapq
@@ -163,9 +165,6 @@ class WeightedGraph:
     def b(self, x: Vertex, y: Vertex) -> float:
         """Edge weight, 0.0 for non-neighbors."""
         return self.adjacency[x].get(y, 0.0)
-
-    def neighbors(self, x: Vertex) -> dict[Vertex, float]:
-        return self.adjacency[x]
 
     def weighted_degree(self, x: Vertex) -> float:
         return sum(self.adjacency[x].values())
@@ -382,9 +381,7 @@ class Elimination:
     term), the fixed vertices in index order, then the last vertex of each
     component with no killing term and no fixed vertex (its pivot is zero).
     ``schur_diagonal`` gives each terminal's total edge weight in the Schur
-    complement onto the terminals.  As the unit lower factor L, row k holds
-    ``neighbours[indptr[k]:indptr[k + 1]]`` with ``weights`` l_a = w_a / d
-    (L's entries are -l_a) and ``inverse_pivots[k]`` = 1/d.
+    complement onto the terminals.
     """
 
     order: np.ndarray
@@ -392,23 +389,6 @@ class Elimination:
     stars: list[dict[int, float]] = field(repr=False)
     pivots: list[float] = field(repr=False)
     schur_diagonal: np.ndarray
-
-    @cached_property
-    def indptr(self) -> np.ndarray:
-        return np.cumsum([0, *map(len, self.stars)])
-
-    @cached_property
-    def neighbours(self) -> np.ndarray:
-        return np.fromiter(chain.from_iterable(self.stars), np.intp, self.indptr[-1])
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        w = np.fromiter(chain.from_iterable(map(dict.values, self.stars)), float, self.indptr[-1])
-        return w / np.repeat(self.pivots, np.diff(self.indptr))
-
-    @cached_property
-    def inverse_pivots(self) -> np.ndarray:
-        return 1.0 / np.array(self.pivots)
 
 
 class _PivotOrder:
@@ -461,14 +441,44 @@ class _PivotOrder:
         self.rest = sorted((v for v in range(len(adj)) if not done[v]), key=lambda v: (len(adj[v]), v))
 
 
-def _sweep_rows(terminals: Iterable[int], order: Iterable[int]) -> np.ndarray:
-    """Each vertex's row in a reverse sweep over an elimination: the
-    terminals first, then the eliminated vertices latest first, so that the
-    star of each eliminated vertex is rows above its own."""
+def _sweep(
+    n: int,
+    terminals: Iterable[int],
+    order: Iterable[int],
+    stars: list[dict[int, float]],
+    row: Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None],
+) -> np.ndarray:
+    """The n×n all-pairs table of an elimination record, in one reverse sweep.
+
+    Rows go terminals first, then the eliminated vertices latest first, so
+    that the star of each eliminated vertex is rows above its own.  The
+    table starts at 0 on the diagonal and ``inf`` between terminals (each
+    one roots its own component); then ``row(step, near, values, above,
+    out)`` writes the entries of ``order[step]`` to the rows before its own
+    into ``out``, from ``above`` (those rows' block), the rows ``near`` of
+    its star and the star's ``values``, and the sweep mirrors them.  The
+    table leaves in vertex order, without a terminal past n (the heart).
+    """
     slots = np.concatenate([np.asarray(terminals, np.intp), np.asarray(order, np.intp)[::-1]])
     row_of = np.empty(slots.size, dtype=np.intp)
     row_of[slots] = np.arange(slots.size)
-    return row_of
+    indptr = [0, *accumulate(map(len, stars))]
+    near = row_of[np.fromiter(chain.from_iterable(stars), np.intp, indptr[-1])]
+    values = np.fromiter(chain.from_iterable(map(dict.values, stars)), float, indptr[-1])
+    nt = slots.size - len(stars)
+    T = np.empty((slots.size, slots.size))
+    T[:nt, :nt] = math.inf
+    np.fill_diagonal(T, 0.0)
+    # no name keeps a view of T past the loop, so that the first exit copy
+    # frees it: two tables are alive at a time, not three
+    for k, step in zip(range(nt, slots.size), reversed(range(len(stars)))):
+        lo, hi = indptr[step], indptr[step + 1]
+        row(step, near[lo:hi], values[lo:hi], T[:k, :k], T[k, :k])
+        T[:k, k] = T[k, :k]
+    # rows, then columns, back to vertex order, dropping the heart
+    keep = row_of[:n]
+    T = T.take(keep, axis=0)
+    return T.take(keep, axis=1)
 
 
 def eliminate(

@@ -37,6 +37,7 @@ CONDITION_LABELS = {
     "D": "all finite-energy functions bounded",
 }
 
+# descending, so that one farthest-point traversal reads every eps in turn
 EPS_LADDER = (1.0, 0.5, 0.25, 0.125)
 
 
@@ -139,36 +140,31 @@ def reconcile_lattice(
     return out
 
 
-def greedy_net_size(dist: np.ndarray, start: int, eps: float, cap: int = 64) -> int:
-    """Greedy farthest-point net: how many centers until every point is
-    within eps of one.  Returns cap+1 when the budget is exhausted."""
-    cover = dist[start].copy()
-    size = 1
-    while cover.max() > eps:
-        if size > cap:
-            return cap + 1
-        nxt = int(cover.argmax())
-        cover = np.minimum(cover, dist[nxt])
-        size += 1
-    return size
+def greedy_net_size(dist: np.ndarray, members: np.ndarray, start: int, cap: int = 64) -> list[int]:
+    """Greedy farthest-point nets on the rows ``members`` of ``dist``, first
+    centre ``start``: for each eps in ``EPS_LADDER``, how many centres until
+    every member is within eps of one, or cap+1 when the budget runs out.
+    Each centre is the argmax of the cover (the first member on a tie),
+    whatever eps is, so one traversal serves the descending ladder."""
+    cover = dist[start, members]
+    size, top = 1, cover.max()
+    sizes = []
+    for eps in EPS_LADDER:
+        while top > eps and size <= cap:
+            np.minimum(cover, dist[members[cover.argmax()], members], out=cover)
+            size += 1
+            top = cover.max()
+        sizes.append(size)
+    return sizes
 
 
-def _net_evidence(
-    dist_top: np.ndarray,
-    level_members: list[list[int]],
-    origin_idx: int,
-    cap: int = 64,
-) -> dict:
+def _net_evidence(dist_top: np.ndarray, level_members: list[np.ndarray], origin_idx: int) -> dict:
     """Net sizes per epsilon per probe level, using the top-ball metric."""
     out: dict[str, list[int]] = {repr(eps): [] for eps in EPS_LADDER}
     for members in level_members:
-        # in place at the top level; nets break ties by row order, so a
-        # permuted full set is still copied
-        full = members == list(range(len(dist_top)))
-        sub = dist_top if full else dist_top[np.ix_(members, members)]
-        start = members.index(origin_idx) if origin_idx in members else 0
-        for eps in EPS_LADDER:
-            out[repr(eps)].append(greedy_net_size(sub, start, eps, cap))
+        start = origin_idx if origin_idx in members else members[0]
+        for eps, size in zip(EPS_LADDER, greedy_net_size(dist_top, members, start)):
+            out[repr(eps)].append(size)
     return out
 
 
@@ -214,7 +210,6 @@ def diagnose_family(
     levels: int = 20,
     tolerance: float = 1e-6,
     probe_cap: int = 24,
-    net_cap: int = 64,
 ) -> ClassificationReport:
     """Classify a family: certified facts first, implication closure, then
     empirical evidence from greedy nets and diameter monitoring."""
@@ -225,10 +220,10 @@ def diagnose_family(
 
     d_top = path_metric(g_top)
     diam = rho_diameter_estimate(fam, probes, tolerance)
-    level_members = list(diam.members)
+    level_members = [np.array(rows, dtype=np.intp) for rows in diam.members]
     origin_idx = g_top.index[fam.origin]
-    d_nets = _net_evidence(d_top.dist, level_members, origin_idx, net_cap)
-    rho_nets = _net_evidence(diam.table, level_members, origin_idx, net_cap)
+    d_nets = _net_evidence(d_top.dist, level_members, origin_idx)
+    rho_nets = _net_evidence(diam.table, level_members, origin_idx)
 
     conditions: dict[str, ConditionReport] = {}
     certs = dict(fam.facts.certified_conditions) if fam.facts else {}
@@ -260,7 +255,7 @@ def diagnose_family(
         status, why = _empirical_status(rho_nets)
         conditions["B"] = ConditionReport("B", status, why)
     if "C" not in conditions:
-        battery = _intrinsic_battery(fam, d_top, g_top, level_members, origin_idx, net_cap)
+        battery = _intrinsic_battery(fam, d_top, g_top, level_members, origin_idx)
         growing = [name for name, (s, _) in battery.items() if s == "fails(empirical)"]
         if growing:
             status, why = "fails(empirical)", f"intrinsic battery member grows: {growing[0]}"
@@ -321,9 +316,8 @@ def _intrinsic_battery(
     fam: GraphFamily,
     d_top: PseudometricTable,
     g_top: WeightedGraph,
-    level_members: list[list[int]],
+    level_members: list[np.ndarray],
     origin_idx: int,
-    net_cap: int,
 ) -> dict[str, tuple[str, dict]]:
     """Total-boundedness evidence for a configurable family of intrinsic
     metrics: the canonical-mass path metric when the inverse weights are
@@ -340,7 +334,7 @@ def _intrinsic_battery(
     if facts and facts.inv_b_total is not None:
         check = verify_intrinsic(g_top, Measure.canonical(g_top), d_top)
         if check.ok:
-            nets = _net_evidence(d_top.dist, level_members, origin_idx, net_cap)
+            nets = _net_evidence(d_top.dist, level_members, origin_idx)
             battery["d_with_canonical_mass"] = _empirical_status(nets)[0], nets
 
     rng = np.random.default_rng(7)
@@ -353,14 +347,14 @@ def _intrinsic_battery(
         scale = 1.0 / math.sqrt(e)
         f = VertexFunction({v: f[v] * scale for v in g_top.vertices})
         table, _ = sigma_from_function(g_top, f)
-        nets = _net_evidence(table.dist, level_members, origin_idx, net_cap)
+        nets = _net_evidence(table.dist, level_members, origin_idx)
         battery[f"sigma_from_sample_{k}"] = _empirical_status(nets)[0], nets
 
     mgeo = Measure.from_mapping(
         {v: 0.5 ** min(i, 500) for i, v in enumerate(g_top.vertices)}
     )
     table = path_metric(g_top, LengthFunction.degree_path(mgeo))
-    nets = _net_evidence(table.dist, level_members, origin_idx, net_cap)
+    nets = _net_evidence(table.dist, level_members, origin_idx)
     battery["degree_path_geometric_mass"] = _empirical_status(nets)[0], nets
     return battery
 

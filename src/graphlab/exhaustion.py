@@ -71,20 +71,22 @@ def induced_subgraph(g: WeightedGraph, subset: Iterable[Vertex]) -> WeightedGrap
     return WeightedGraph(tuple(order), edges, killing)
 
 
+#: consecutive increments below tolerance that make a sequence converged
+WINDOW = 3
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     """A monitored scalar sequence with a convergence verdict.
 
-    ``converged`` requires the last ``window`` increments to all be below
-    the tolerance; ``diverging`` requires the values to exceed the ceiling
-    while increments stay above tolerance.  Anything else is inconclusive.
+    ``converged`` requires the last ``WINDOW`` increments to all be below
+    the tolerance; anything else is inconclusive.
     """
 
     values: tuple[float, ...]
     tolerance: float
     status: str
     last_increment: float
-    window: int = 3
 
     @property
     def converged(self) -> bool:
@@ -95,15 +97,10 @@ class ConvergenceReport:
         return self.values[-1]
 
 
-def monitor(
-    seq: Sequence[float],
-    tolerance: float,
-    window: int = 3,
-    ceiling: float | None = None,
-) -> ConvergenceReport:
+def monitor(seq: Sequence[float], tolerance: float) -> ConvergenceReport:
     """Classify a monitored scalar sequence.
 
-    Never claims convergence from fewer than ``window``+1 terms.  The
+    Never claims convergence from fewer than ``WINDOW``+1 terms.  The
     tolerance must be finite and positive.
     """
     _require_tolerance(tolerance)
@@ -111,7 +108,7 @@ def monitor(
     if not values:
         raise ValidationError(["cannot monitor an empty sequence"])
     last = abs(values[-1] - values[-2]) if len(values) > 1 else float("nan")
-    return ConvergenceReport(values, tolerance, _status(values, tolerance, window, ceiling), last, window)
+    return ConvergenceReport(values, tolerance, _status(values, tolerance), last)
 
 
 def _require_tolerance(tolerance: float) -> None:
@@ -119,15 +116,11 @@ def _require_tolerance(tolerance: float) -> None:
         raise ValidationError([f"tolerance must be finite and > 0, got {tolerance!r}"])
 
 
-def _status(values: Sequence[float], tolerance: float, window: int = 3,
-            ceiling: float | None = None) -> str:
-    if len(values) <= window:
+def _status(values: Sequence[float], tolerance: float) -> str:
+    if len(values) <= WINDOW:
         return "inconclusive"
-    tail = [abs(b - a) for a, b in zip(values[-window - 1:-1], values[-window:])]
-    if all(inc < tolerance for inc in tail):
-        return "converged"
-    diverging = ceiling is not None and values[-1] > ceiling and all(inc > tolerance for inc in tail)
-    return "diverging" if diverging else "inconclusive"
+    tail = [abs(b - a) for a, b in zip(values[-WINDOW - 1:-1], values[-WINDOW:])]
+    return "converged" if all(inc < tolerance for inc in tail) else "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -137,10 +130,6 @@ class Ball:
     graph: WeightedGraph
     frontier: frozenset
     measure: Measure | None = None
-
-    @property
-    def interior(self) -> tuple:
-        return tuple(v for v in self.graph.vertices if v not in self.frontier)
 
 
 @dataclass(frozen=True)

@@ -99,17 +99,19 @@ class MaxPrincipleReport:
 
 def check_max_principle(p: DirichletProblem, u: VertexFunction) -> MaxPrincipleReport:
     """Verify that |u| peaks on the boundary (and, for real data, that the
-    interior values stay inside the boundary range)."""
+    interior values stay inside the boundary range), up to a slack of
+    1e-10 max|boundary value|, well above ``solve_dirichlet``'s rounding."""
     sup_all = max(abs(u[v]) for v in p.graph.vertices)
     attain = max(p.graph.vertices, key=lambda v: abs(u[v]))
     sup_boundary = max(abs(v) for v in p.boundary_values.values())
-    ok = sup_all <= sup_boundary + 1e-10
+    slack = 1e-10 * sup_boundary
+    ok = sup_all <= sup_boundary + slack
     sandwich: bool | None = None
     if all(complex(v).imag == 0 for v in p.boundary_values.values()) and u.is_real():
         lo = min(complex(v).real for v in p.boundary_values.values())
         hi = max(complex(v).real for v in p.boundary_values.values())
         sandwich = all(
-            lo - 1e-10 <= complex(u[v]).real <= hi + 1e-10 for v in p.interior
+            lo - slack <= complex(u[v]).real <= hi + slack for v in p.interior
         )
     return MaxPrincipleReport(ok, sup_all, sup_boundary, attain, sandwich)
 
@@ -206,12 +208,15 @@ class DefectSequence:
         }.get(self.verdict, "inconclusive")
 
 
+#: level n's defect is measured on ball max(REFERENCE_FACTOR * n, n + 1)
+REFERENCE_FACTOR = 4
+
+
 def constant_approximation_defect(
     fam: GraphFamily,
     levels: Sequence[int],
     tolerance: float = 1e-4,
     threshold: float = 5e-2,
-    reference_factor: int = 4,
 ) -> DefectSequence:
     """How well compactly supported functions approximate the constant 1.
 
@@ -222,7 +227,7 @@ def constant_approximation_defect(
     """
 
     def defect(n: int, ball_n: Ball) -> float:
-        ref = fam.build_ball(max(reference_factor * n, n + 1))
+        ref = fam.build_ball(max(REFERENCE_FACTOR * n, n + 1))
         if ref.measure is None:
             raise ValidationError([f"family {fam.name} supplies no measure"])
         g = ref.graph

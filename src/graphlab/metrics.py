@@ -12,10 +12,11 @@ IEEE ``inf`` in memory, and serializers emit an explicit marker string so
 files stay unambiguous.
 
 The all-pairs table comes from one star–mesh elimination in the (min, +)
-semiring and a reverse sweep over its record (Carré, "An algebra for
-network routing problems", 1971), in the pivot order that
-``core._PivotOrder`` gives ``core.eliminate`` too; a single-source table
-is one Dijkstra run.
+semiring (Carré, "An algebra for network routing problems", 1971), in
+the pivot order that ``core._PivotOrder`` gives ``core.eliminate`` too,
+and from ``core._sweep``, the reverse sweep that builds the resistance
+table as well: this module gives it only the (min, +) row rule.  A
+single-source table is one Dijkstra run.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .core import Measure, Vertex, VertexFunction, WeightedGraph, _PivotOrder, _sweep_rows
+from .core import Measure, Vertex, VertexFunction, WeightedGraph, _PivotOrder, _sweep
 from .errors import GraphlabError, UnknownVertexError, ValidationError
 
 INF = float("inf")
@@ -174,11 +174,11 @@ def _min_plus_table(n: int, ii: np.ndarray, jj: np.ndarray, lens: np.ndarray) ->
     min(len(a, b), len(a, u) + len(u, b)), which keeps every distance
     between the vertices left.  The order is ``core._PivotOrder``'s, the
     dense rest as one numpy block.  A vertex with no neighbours left is a
-    terminal, one per component.  The reverse sweep then reads
-    d(v, .) = min_a (len(v, a) + d(a, .)) over v's star at its removal,
-    whose members were all removed later, so their rows are known: a
-    shortest path from v leaves through one of them and never comes back.
-    Lengths are only added, never subtracted.
+    terminal, one per component.  The reverse sweep (``core._sweep``)
+    then reads d(v, .) = min_a (len(v, a) + d(a, .)) over v's star at its
+    removal, whose members were all removed later, so their rows are
+    known: a shortest path from v leaves through one of them and never
+    comes back.  Lengths are only added, never subtracted.
     """
     adj: list[dict[int, float]] = [{} for _ in range(n)]
     for i, j, length in zip(ii.tolist(), jj.tolist(), lens.tolist()):
@@ -224,24 +224,13 @@ def _min_plus_table(n: int, ii: np.ndarray, jj: np.ndarray, lens: np.ndarray) ->
             stars.append(dict(zip([rest[k + 1 + i] for i in nz.tolist()], w[nz].tolist())))
             mesh = W[k + 1 :, k + 1 :]
             np.minimum(mesh, w[:, None] + w, out=mesh)
-    nt = len(terminals)
-    row_of = _sweep_rows(terminals, order)
-    indptr = [0, *np.cumsum([len(star) for star in reversed(stars)]).tolist()]
-    near = row_of[np.fromiter(chain.from_iterable(reversed(stars)), np.intp, indptr[-1])]
-    star_lens = np.fromiter(
-        chain.from_iterable(map(dict.values, reversed(stars))), float, indptr[-1]
-    )
-    T = np.empty((n, n))
-    T[:nt, :nt] = INF
-    np.fill_diagonal(T, 0.0)
-    for k, lo, hi in zip(range(nt, n), indptr, indptr[1:]):
-        block = T[near[lo:hi], :k]
-        block += star_lens[lo:hi, None]
-        row = block.min(axis=0, out=T[k, :k])
-        T[:k, k] = row
-    # rows, then columns, back to vertex order
-    T = T.take(row_of, axis=0)
-    return T.take(row_of, axis=1)
+
+    def row(step, near, star_lens, above, out):
+        block = above[near]
+        block += star_lens[:, None]
+        block.min(axis=0, out=out)
+
+    return _sweep(n, terminals, order, stars, row)
 
 
 def path_metric(

@@ -6,8 +6,9 @@ delta' A^+ delta for the energy matrix A and the signed pair indicator
 delta.  Its square root is a metric whose Lipschitz functions are exactly
 the finite-energy functions.  Single pairs and the all-pairs table both
 read one cancellation-free star–mesh elimination (``core.eliminate``):
-pairs by substitution over it (``core.GroundedFactor``), the table in one
-reverse sweep.
+pairs by substitution over it (``core.GroundedFactor``), the table in the
+reverse sweep ``core._sweep``, which builds the path-metric table too;
+this module gives it only the resistance row rule.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .core import (
     Vertex,
     VertexFunction,
     WeightedGraph,
-    _sweep_rows,
+    _sweep,
     eliminate,
 )
 from .errors import (
@@ -138,15 +139,15 @@ def free_resistance(
     y: Vertex,
     tolerance: float = 1e-9,
     max_level: int = 64,
-    start_level: int | None = None,
 ) -> ResistanceResult:
-    """Resistance via subgraph exhaustion: nonincreasing level values,
-    monitored until convergence or the level budget runs out.
+    """Resistance via subgraph exhaustion: nonincreasing level values from
+    the first ball holding both vertices, monitored until convergence or
+    the level budget runs out.
 
     A growing subgraph can only lower the resistance; any increase beyond
     rounding indicates a solver bug and raises ConsistencyError.
     """
-    n0 = start_level if start_level is not None else fam.find_level((x, y), max_level)
+    n0 = fam.find_level((x, y), max_level)
     last: ResistanceResult | None = None
     beyond = False
 
@@ -168,9 +169,9 @@ def all_pairs_rho(g: WeightedGraph) -> np.ndarray:
 
     Requires a connected graph (or killing term everywhere).  The table is
     read from one star–mesh elimination (``core.eliminate``) in a reverse
-    sweep: the terminal left at the end is at resistance zero from itself,
-    and a vertex v eliminated with pivot d and neighbour weights l_a = w_a/d
-    sits at
+    sweep (``core._sweep``): the terminal left at the end is at resistance
+    zero from itself, and a vertex v eliminated with pivot d and neighbour
+    weights l_a = w_a/d sits at
 
         r(v, j) = 1/d + sum_a l_a r(a, j) - 1/2 sum_{a,b} l_a l_b r(a, b)
 
@@ -187,21 +188,15 @@ def all_pairs_rho(g: WeightedGraph) -> np.ndarray:
         raise InfiniteResistanceError(
             "all-pairs table undefined across zero-energy components"
         )
-    row_of = _sweep_rows(rec.terminals, rec.order)
-    near = row_of[rec.neighbours]
-    indptr = rec.indptr.tolist()
-    inverse_pivots = rec.inverse_pivots.tolist()
-    R = np.zeros((row_of.size, row_of.size))
-    for k, step in zip(range(rec.terminals.size, row_of.size), reversed(range(rec.order.size))):
-        lo, hi = indptr[step], indptr[step + 1]
-        a, l = near[lo:hi], rec.weights[lo:hi]
-        row = l @ R[a, :k]
+    pivots = rec.pivots
+
+    def row(step, near, w, above, out):
+        l = w / pivots[step]
+        np.matmul(l, above[near], out=out)
         # sum_{a,b} l_a l_b r(a, b), read off the row before the shift
-        row += inverse_pivots[step] - 0.5 * float(l @ row[a])
-        R[k, :k] = row
-        R[:k, k] = row
-    keep = row_of[: g.size]
-    r = R[np.ix_(keep, keep)]
+        out += 1.0 / pivots[step] - 0.5 * float(l @ out[near])
+
+    r = _sweep(g.size, rec.terminals, rec.order, rec.stars, row)
     np.maximum(r, 0.0, out=r)
     return np.sqrt(r, out=r)
 

@@ -3,10 +3,12 @@
 import dataclasses
 import sys
 
+import numpy as np
 import pytest
 from scipy.special import zeta
 
 from graphlab.diagnose import (
+    EPS_LADDER,
     ConditionReport,
     check_lattice,
     diagnose,
@@ -115,10 +117,45 @@ def test_factless_family_reports_without_error(rng):
 def test_greedy_net_sizes(rng):
     g = random_connected_graph(rng, 20)
     dist = path_metric(g).dist
-    sizes = [greedy_net_size(dist, 0, eps) for eps in (8.0, 2.0, 0.5, 0.05)]
+    members = np.arange(20)
+    # EPS_LADDER is (1, 1/2, 1/4, 1/8): on dist / 8 it reads eps 8, 4, 2, 1
+    sizes = greedy_net_size(dist / 8.0, members, 0)
     assert sizes[0] == 1
     assert all(b >= a for a, b in zip(sizes, sizes[1:]))
-    assert greedy_net_size(dist, 0, 1e-12, cap=4) == 5
+    assert greedy_net_size(dist * 1e12, members, 0, cap=4) == [5] * 4
+
+
+def _net_size_one_eps(dist, start, eps, cap):
+    """One greedy farthest-point traversal per eps, on a level's own block
+    of the table: the oracle that ``greedy_net_size`` must agree with."""
+    cover = dist[start].copy()
+    size = 1
+    while cover.max() > eps:
+        if size > cap:
+            return cap + 1
+        nxt = int(cover.argmax())
+        cover = np.minimum(cover, dist[nxt])
+        size += 1
+    return size
+
+
+def test_greedy_net_size_matches_one_traversal_per_eps():
+    rng = np.random.default_rng(1414)
+    for trial in range(300):
+        n = int(rng.integers(1, 40))
+        # integer multiples of 1/8, so covers tie and land exactly on an eps
+        a = rng.integers(0, 12, (n, n)) / 8.0
+        dist = np.minimum(a, a.T)
+        np.fill_diagonal(dist, 0.0)
+        if trial % 5 == 0:
+            dist[rng.integers(0, n), rng.integers(0, n)] = np.inf
+        members = [np.arange(n), rng.permutation(n), rng.permutation(n)[: rng.integers(1, n + 1)]][trial % 3]
+        members = members.astype(np.intp)
+        at = int(rng.integers(0, members.size))
+        cap = int(rng.integers(1, 12))
+        block = dist[np.ix_(members, members)]
+        want = [_net_size_one_eps(block, at, eps, cap) for eps in EPS_LADDER]
+        assert greedy_net_size(dist, members, members[at], cap) == want
 
 
 def test_report_serializes_to_json():

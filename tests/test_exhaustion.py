@@ -105,11 +105,8 @@ class TestMonitor:
         rep = monitor([2.0] * 6, 1e-9)
         assert rep.status == "converged"
 
-    def test_diverging_needs_ceiling(self):
-        seq = list(range(1, 60))
-        assert monitor(seq, 1e-3).status == "inconclusive"
-        assert monitor(seq, 1e-3, ceiling=100.0).status == "inconclusive"
-        assert monitor(list(range(1, 200)), 1e-3, ceiling=100.0).status == "diverging"
+    def test_growing_sequence_is_inconclusive(self):
+        assert monitor(list(range(1, 60)), 1e-3).status == "inconclusive"
 
     def test_never_converges_from_few_terms(self):
         assert monitor([1.0], 1e-3).status == "inconclusive"

@@ -163,6 +163,18 @@ class TestMaxPrinciple:
             rep = check_max_principle(p, solve_dirichlet(p))
             assert rep.ok and rep.sandwich_ok is not False
 
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_slack_scales_with_the_data(self, scale):
+        # the solve leaves [-s, s] by at most ~2 ulps at any scale, inside
+        # the slack; a planted 5x overshoot at 5:3 is outside it at any scale
+        g = make(FamilySpec("comb")).build_ball(40).graph
+        p = DirichletProblem(g, {"0:0": scale, "33:0": -scale})
+        u = solve_dirichlet(p)
+        rep = check_max_principle(p, u)
+        assert rep.ok and rep.sandwich_ok
+        planted = check_max_principle(p, VertexFunction({**u.values, "5:3": 5 * scale}))
+        assert not planted.ok and planted.sandwich_ok is False
+
 
 class TestCapacity:
     def test_unit_ray_exact(self):
