@@ -21,13 +21,14 @@ edges to a heart terminal, whose pivots are sums of positive weights, so
 no digit cancels.  ``GroundedFactor`` solves by substitution over that
 record; the all-pairs resistance table and Schur-complement capacities
 read it too.  ``_sweep`` is the one reverse sweep that reads an
-elimination record into an all-pairs table: the resistance table from
-this one, the path-metric table from the (min, +) one in ``metrics``.
+elimination record into an all-pairs table, written by vertex in place:
+the resistance table from this one, the path-metric table from the
+(min, +) one in ``metrics``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 import heapq
@@ -444,41 +445,37 @@ class _PivotOrder:
 def _sweep(
     n: int,
     terminals: Iterable[int],
-    order: Iterable[int],
+    order: Sequence[int],
     stars: list[dict[int, float]],
     row: Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None],
 ) -> np.ndarray:
     """The n×n all-pairs table of an elimination record, in one reverse sweep.
 
-    Rows go terminals first, then the eliminated vertices latest first, so
-    that the star of each eliminated vertex is rows above its own.  The
-    table starts at 0 on the diagonal and ``inf`` between terminals (each
-    one roots its own component); then ``row(step, near, values, above,
-    out)`` writes the entries of ``order[step]`` to the rows before its own
-    into ``out``, from ``above`` (those rows' block), the rows ``near`` of
-    its star and the star's ``values``, and the sweep mirrors them.  The
-    table leaves in vertex order, without a terminal past n (the heart).
+    The table is numbered by vertex, with one more row and column for a
+    terminal past n (the heart).  It starts at 0, and at ``inf`` between
+    terminals (each one roots its own component).  The eliminated
+    vertices go latest first: ``row(step, near, values, T, out)`` writes
+    the row of ``order[step]`` over every column into ``out``, from the
+    rows ``near`` of its star in the table ``T`` and the star's
+    ``values``; the sweep zeroes its diagonal entry and mirrors it into
+    its column.  Its entries towards vertices eliminated earlier come out
+    wrong, and each is overwritten when that vertex's own row is
+    mirrored.  With the heart, the table leaves as a view without it.
     """
-    slots = np.concatenate([np.asarray(terminals, np.intp), np.asarray(order, np.intp)[::-1]])
-    row_of = np.empty(slots.size, dtype=np.intp)
-    row_of[slots] = np.arange(slots.size)
+    terminals = np.asarray(terminals, np.intp)
     indptr = [0, *accumulate(map(len, stars))]
-    near = row_of[np.fromiter(chain.from_iterable(stars), np.intp, indptr[-1])]
+    near = np.fromiter(chain.from_iterable(stars), np.intp, indptr[-1])
     values = np.fromiter(chain.from_iterable(map(dict.values, stars)), float, indptr[-1])
-    nt = slots.size - len(stars)
-    T = np.empty((slots.size, slots.size))
-    T[:nt, :nt] = math.inf
-    np.fill_diagonal(T, 0.0)
-    # no name keeps a view of T past the loop, so that the first exit copy
-    # frees it: two tables are alive at a time, not three
-    for k, step in zip(range(nt, slots.size), reversed(range(len(stars)))):
+    N = n + int((terminals == n).any())  # the heart
+    T = np.zeros((N, N))
+    T[np.ix_(terminals, terminals)] = math.inf
+    T[terminals, terminals] = 0.0
+    for step, v in zip(reversed(range(len(stars))), reversed(order)):
         lo, hi = indptr[step], indptr[step + 1]
-        row(step, near[lo:hi], values[lo:hi], T[:k, :k], T[k, :k])
-        T[:k, k] = T[k, :k]
-    # rows, then columns, back to vertex order, dropping the heart
-    keep = row_of[:n]
-    T = T.take(keep, axis=0)
-    return T.take(keep, axis=1)
+        row(step, near[lo:hi], values[lo:hi], T, T[v])
+        T[v, v] = 0.0
+        T[:, v] = T[v]
+    return T[:n, :n]
 
 
 def eliminate(

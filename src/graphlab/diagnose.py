@@ -25,7 +25,7 @@ from .core import Measure, VertexFunction, WeightedGraph, energy
 from .errors import ConsistencyError, FamilyError
 from .exhaustion import GraphFamily
 from .families import witness_functions
-from .metrics import LengthFunction, PseudometricTable, path_metric, sigma_from_function, verify_intrinsic
+from .metrics import LengthFunction, path_metric, sigma_from_function, verify_intrinsic
 from .resistance import rho_diameter_estimate
 
 CONDITIONS = ("A", "B", "C", "D")
@@ -214,16 +214,8 @@ def diagnose_family(
     """Classify a family: certified facts first, implication closure, then
     empirical evidence from greedy nets and diameter monitoring."""
     probes = _probe_levels(levels, probe_cap)
-    top_ball = fam.build_ball(probes[-1])
-    g_top = top_ball.graph
+    g_top = fam.build_ball(probes[-1]).graph
     c_zero = (fam.facts.c_zero if fam.facts else None) or not g_top.has_killing()
-
-    d_top = path_metric(g_top)
-    diam = rho_diameter_estimate(fam, probes, tolerance)
-    level_members = [np.array(rows, dtype=np.intp) for rows in diam.members]
-    origin_idx = g_top.index[fam.origin]
-    d_nets = _net_evidence(d_top.dist, level_members, origin_idx)
-    rho_nets = _net_evidence(diam.table, level_members, origin_idx)
 
     conditions: dict[str, ConditionReport] = {}
     certs = dict(fam.facts.certified_conditions) if fam.facts else {}
@@ -248,6 +240,24 @@ def diagnose_family(
                 )
                 changed = True
 
+    # one n×n table at a time: d, then the battery's, then rho
+    idx = g_top.index
+    level_members = [
+        np.array([idx[v] for v in fam.build_ball(p).graph.vertices], dtype=np.intp) for p in probes
+    ]
+    origin_idx = idx[fam.origin]
+    d_top = path_metric(g_top)
+    d_nets = _net_evidence(d_top.dist, level_members, origin_idx)
+    # the canonical-mass battery member is d itself, so it reuses d's nets
+    facts = fam.facts
+    canonical = ("C" not in conditions and facts and facts.inv_b_total is not None
+                 and verify_intrinsic(g_top, Measure.canonical(g_top), d_top).ok)
+    del d_top
+    if "C" not in conditions:
+        battery = _intrinsic_battery(g_top, d_nets if canonical else None, level_members, origin_idx)
+    diam = rho_diameter_estimate(fam, probes, tolerance)
+    rho_nets = _net_evidence(diam.table, level_members, origin_idx)
+
     if "A" not in conditions:
         status, why = _empirical_status(d_nets)
         conditions["A"] = ConditionReport("A", status, why)
@@ -255,7 +265,6 @@ def diagnose_family(
         status, why = _empirical_status(rho_nets)
         conditions["B"] = ConditionReport("B", status, why)
     if "C" not in conditions:
-        battery = _intrinsic_battery(fam, d_top, g_top, level_members, origin_idx)
         growing = [name for name, (s, _) in battery.items() if s == "fails(empirical)"]
         if growing:
             status, why = "fails(empirical)", f"intrinsic battery member grows: {growing[0]}"
@@ -313,9 +322,8 @@ def _with_evidence(rep: ConditionReport, extra: dict) -> ConditionReport:
 
 
 def _intrinsic_battery(
-    fam: GraphFamily,
-    d_top: PseudometricTable,
     g_top: WeightedGraph,
+    canonical_nets: dict[str, list[int]] | None,
     level_members: list[np.ndarray],
     origin_idx: int,
 ) -> dict[str, tuple[str, dict]]:
@@ -324,18 +332,13 @@ def _intrinsic_battery(
     summable, increment pseudometrics of sampled functions, and the
     degree-bounded path metric for a geometric mass.
 
-    ``d_top`` is the all-pairs inverse-weight path metric of ``g_top``,
-    computed once by the caller and read here for the canonical-mass
-    member and its intrinsic check.
+    The canonical-mass member is the inverse-weight path metric itself,
+    so the caller passes its nets, or None when it is not a member.  The
+    other tables are built one at a time, each released after its nets.
     """
     battery: dict[str, tuple[str, dict]] = {}
-    facts = fam.facts
-
-    if facts and facts.inv_b_total is not None:
-        check = verify_intrinsic(g_top, Measure.canonical(g_top), d_top)
-        if check.ok:
-            nets = _net_evidence(d_top.dist, level_members, origin_idx)
-            battery["d_with_canonical_mass"] = _empirical_status(nets)[0], nets
+    if canonical_nets is not None:
+        battery["d_with_canonical_mass"] = _empirical_status(canonical_nets)[0], canonical_nets
 
     rng = np.random.default_rng(7)
     n = g_top.size
@@ -346,8 +349,7 @@ def _intrinsic_battery(
             continue
         scale = 1.0 / math.sqrt(e)
         f = VertexFunction({v: f[v] * scale for v in g_top.vertices})
-        table, _ = sigma_from_function(g_top, f)
-        nets = _net_evidence(table.dist, level_members, origin_idx)
+        nets = _net_evidence(sigma_from_function(g_top, f)[0].dist, level_members, origin_idx)
         battery[f"sigma_from_sample_{k}"] = _empirical_status(nets)[0], nets
 
     mgeo = Measure.from_mapping(

@@ -68,6 +68,15 @@ def _number(value) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _array(raw: dict, key: str, violations: list[str]) -> list:
+    """The array under ``key``, empty when absent; anything else is a violation."""
+    rows = raw.get(key, [])
+    if isinstance(rows, list):
+        return rows
+    violations.append(f"{key} {rows!r} is not an array")
+    return []
+
+
 def parse_document(text: str) -> GraphDocument:
     """Parse and validate document JSON; returns the canonical contents.
 
@@ -84,13 +93,17 @@ def parse_document(text: str) -> GraphDocument:
     version = raw.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         violations.append(f"unsupported format_version {version!r}")
-    metadata = dict(raw.get("metadata") or {})
+    metadata = raw.get("metadata") or {}
+    if not isinstance(metadata, dict):
+        violations.append(f"metadata {metadata!r} is not an object")
+        metadata = {}
+    metadata = dict(metadata)
     for key in sorted(set(raw) - _CANONICAL_KEYS):
         metadata.setdefault("unknown_fields", {})[key] = raw[key]
 
     vrows = []
     seen_ids = set()
-    for entry in raw.get("vertices", []):
+    for entry in _array(raw, "vertices", violations):
         if not isinstance(entry, dict) or "id" not in entry:
             violations.append(f"malformed vertex entry {entry!r}")
             continue
@@ -124,11 +137,14 @@ def parse_document(text: str) -> GraphDocument:
 
     erows = []
     seen_edges = set()
-    for entry in raw.get("edges", []):
+    for entry in _array(raw, "edges", violations):
         if not isinstance(entry, dict) or not {"u", "v", "b"} <= set(entry):
             violations.append(f"malformed edge entry {entry!r}")
             continue
         u, v, b = entry["u"], entry["v"], _number(entry["b"])
+        if not (isinstance(u, str) and isinstance(v, str)):
+            violations.append(f"edge endpoints u={u!r}, v={v!r} are not both vertex id strings")
+            continue
         if u not in seen_ids or v not in seen_ids:
             violations.append(f"edge ({u!r},{v!r}) references unknown vertex")
             continue

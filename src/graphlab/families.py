@@ -416,6 +416,8 @@ def make(spec: FamilySpec) -> GraphFamily:
         raise FamilyError(f"unknown family {spec.name!r}")
     if spec.measure not in MEASURE_RULES:
         raise FamilyError(f"unknown measure rule {spec.measure!r}")
+    if spec.measure_param is not None and spec.measure != "geometric":
+        raise FamilyError(f"the {spec.measure} measure rule takes no parameter, got {spec.measure_param!r}")
     builder, form, fewest, most = _BUILDERS[spec.name]
     if not fewest <= len(spec.params) <= most:
         raise FamilyError(

@@ -26,7 +26,7 @@ from .core import (
     eliminate,
 )
 from .errors import SingularSystemError, ValidationError
-from .exhaustion import Ball, ConvergenceReport, GraphFamily, climb
+from .exhaustion import WINDOW, Ball, ConvergenceReport, GraphFamily, climb
 
 
 @dataclass(frozen=True)
@@ -150,19 +150,22 @@ def _classify_limit(report: ConvergenceReport, threshold: float,
     return low if report.limit <= threshold else high
 
 
+#: a converged capacity limit at most this reads as recurrent
+CAPACITY_THRESHOLD = 1e-2
+
+
 def capacity(
     fam: GraphFamily,
     o: Vertex | None = None,
     levels: Sequence[int] | None = None,
     tolerance: float = 1e-5,
-    threshold: float = 1e-2,
 ) -> CapacitySequence:
     """Grounded-frontier capacities along the exhaustion.
 
     Level n solves the problem "1 at the origin, 0 on the frontier" on
     ball n and records the energy.  The sequence is nonincreasing; a
-    converged limit below the threshold reads as recurrent, above as
-    transient.
+    converged limit at most ``CAPACITY_THRESHOLD`` reads as recurrent,
+    above it as transient.
     """
     o = fam.origin if o is None else o
 
@@ -176,18 +179,19 @@ def capacity(
 
     ladder = default_level_ladder(64) if levels is None else levels
     used, report = climb(fam, ladder, grounded, tolerance, trend=-1)
-    verdict = _classify_limit(report, threshold, "recurrent", "transient")
-    return CapacitySequence(o, used, report.values, report, verdict, threshold)
+    verdict = _classify_limit(report, CAPACITY_THRESHOLD, "recurrent", "transient")
+    return CapacitySequence(o, used, report.values, report, verdict, CAPACITY_THRESHOLD)
 
 
-def default_level_ladder(top: int, tail: int = 3) -> list[int]:
-    """Geometric levels with a consecutive tail, for honest increment checks."""
+def default_level_ladder(top: int) -> list[int]:
+    """Powers of two below ``top``, then the ``WINDOW`` + 1 levels up to
+    ``top``, so that the increments the monitor reads are consecutive."""
     ladder = []
     n = 1
     while n < top:
         ladder.append(n)
         n *= 2
-    ladder.extend(range(max(1, top - tail), top + 1))
+    ladder.extend(range(max(1, top - WINDOW), top + 1))
     return sorted(set(ladder))
 
 
@@ -211,19 +215,21 @@ class DefectSequence:
 #: level n's defect is measured on ball max(REFERENCE_FACTOR * n, n + 1)
 REFERENCE_FACTOR = 4
 
+#: a converged defect limit at most this reads as vanishing
+DEFECT_THRESHOLD = 5e-2
+
 
 def constant_approximation_defect(
     fam: GraphFamily,
     levels: Sequence[int],
     tolerance: float = 1e-4,
-    threshold: float = 5e-2,
 ) -> DefectSequence:
     """How well compactly supported functions approximate the constant 1.
 
     Level n minimizes energy(1-v) + ||1-v||^2 (measure-weighted, truncated
     to a reference ball) over v supported inside ball n.  A vanishing
-    limit means the Dirichlet and Neumann forms coincide (recurrence); a
-    floor means they differ.
+    limit (at most ``DEFECT_THRESHOLD``) means the Dirichlet and Neumann
+    forms coincide (recurrence); a floor means they differ.
     """
 
     def defect(n: int, ball_n: Ball) -> float:
@@ -242,5 +248,5 @@ def constant_approximation_defect(
         return float(rec.schur_diagonal[0])
 
     used, report = climb(fam, levels, defect, tolerance)
-    verdict = _classify_limit(report, threshold, "vanishing", "positive")
-    return DefectSequence(used, report.values, report, verdict, threshold)
+    verdict = _classify_limit(report, DEFECT_THRESHOLD, "vanishing", "positive")
+    return DefectSequence(used, report.values, report, verdict, DEFECT_THRESHOLD)

@@ -15,8 +15,8 @@ The all-pairs table comes from one star–mesh elimination in the (min, +)
 semiring (Carré, "An algebra for network routing problems", 1971), in
 the pivot order that ``core._PivotOrder`` gives ``core.eliminate`` too,
 and from ``core._sweep``, the reverse sweep that builds the resistance
-table as well: this module gives it only the (min, +) row rule.  A
-single-source table is one Dijkstra run.
+table as well, each written by vertex in place: this module gives it
+only the (min, +) row rule.  A single-source table is one Dijkstra run.
 """
 
 from __future__ import annotations
@@ -225,8 +225,8 @@ def _min_plus_table(n: int, ii: np.ndarray, jj: np.ndarray, lens: np.ndarray) ->
             mesh = W[k + 1 :, k + 1 :]
             np.minimum(mesh, w[:, None] + w, out=mesh)
 
-    def row(step, near, star_lens, above, out):
-        block = above[near]
+    def row(step, near, star_lens, T, out):
+        block = T[near]
         block += star_lens[:, None]
         block.min(axis=0, out=out)
 
@@ -316,8 +316,8 @@ def sigma_from_function(
     """
     arr = f.as_array(g).astype(float)
     n = g.size
-    diff = np.abs(arr[:, None] - arr[None, :])
-    table = PseudometricTable(g.vertices, None, diff)
+    diff = arr[:, None] - arr[None, :]
+    table = PseudometricTable(g.vertices, None, np.abs(diff, out=diff))
     ii, jj, ww = g.edge_arrays
     w = np.zeros(n)
     contrib = 0.5 * ww * np.abs(arr[ii] - arr[jj]) ** 2

@@ -7,8 +7,9 @@ delta.  Its square root is a metric whose Lipschitz functions are exactly
 the finite-energy functions.  Single pairs and the all-pairs table both
 read one cancellation-free star–mesh elimination (``core.eliminate``):
 pairs by substitution over it (``core.GroundedFactor``), the table in the
-reverse sweep ``core._sweep``, which builds the path-metric table too;
-this module gives it only the resistance row rule.
+reverse sweep ``core._sweep``, which writes it by vertex in place and
+builds the path-metric table too; this module gives it only the
+resistance row rule.
 """
 
 from __future__ import annotations
@@ -190,9 +191,9 @@ def all_pairs_rho(g: WeightedGraph) -> np.ndarray:
         )
     pivots = rec.pivots
 
-    def row(step, near, w, above, out):
+    def row(step, near, w, T, out):
         l = w / pivots[step]
-        np.matmul(l, above[near], out=out)
+        np.matmul(l, T[near], out=out)
         # sum_{a,b} l_a l_b r(a, b), read off the row before the shift
         out += 1.0 / pivots[step] - 0.5 * float(l @ out[near])
 
@@ -205,8 +206,7 @@ def all_pairs_rho(g: WeightedGraph) -> np.ndarray:
 class DiameterEstimate:
     """Resistance-diameter profile over probe levels.  ``table`` is the
     ``all_pairs_rho`` matrix of the top ball (rows by its ``graph.index``)
-    that every value was read from, and ``members`` lists each level's
-    rows in it; callers reuse both instead of solving."""
+    that every value was read from; callers reuse it instead of solving."""
 
     values: tuple[float, ...]
     report: ConvergenceReport
@@ -214,7 +214,6 @@ class DiameterEstimate:
     certified_bound: float | None
     lower_bound: float
     table: np.ndarray = field(repr=False, compare=False)
-    members: tuple[list[int], ...] = field(repr=False, compare=False)
 
 
 def rho_diameter_estimate(
@@ -236,11 +235,9 @@ def rho_diameter_estimate(
     top = fam.build_ball(max(levels, default=0))  # climb refuses an empty ladder
     table = all_pairs_rho(top.graph)
     idx = top.graph.index
-    members: list[list[int]] = []
 
     def diameter(n: int, b: Ball) -> float:
         rows = [idx[v] for v in b.graph.vertices]
-        members.append(rows)
         # the top level reads the table in place, not a copy of all of it
         sub = table if rows == list(range(len(table))) else table[np.ix_(rows, rows)]
         return float(sub.max()) if sub.size else 0.0
@@ -271,5 +268,5 @@ def rho_diameter_estimate(
             if bound is not None and report.converged:
                 status = "finite"
                 certified = bound
-    return DiameterEstimate(values, report, status, certified, lower, table, tuple(members))
+    return DiameterEstimate(values, report, status, certified, lower, table)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+import math
 
 import numpy as np
 
@@ -141,11 +142,16 @@ def heat(
     if not 0 <= t < np.inf:
         raise ValidationError(["heat semigroup needs a finite t >= 0"])
     spec = spec or spectrum(op)
-    weights = np.exp(-t * spec.eigenvalues)
     phi = spec.eigenfunctions
-    kernel = (phi * weights[None, :]) @ phi.T
-    mass = kernel @ op.measure
-    return HeatResult(t, op.vertices, kernel, mass, float(weights.sum()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.exp(-t * spec.eigenvalues)
+        kernel = (phi * weights[None, :]) @ phi.T
+        mass = kernel @ op.measure
+        trace = float(weights.sum())
+    # an infinite weight exp(-t λ) makes kernel entries inf or nan
+    if not (np.isfinite(kernel).all() and np.isfinite(mass).all() and math.isfinite(trace)):
+        raise ValidationError([f"heat kernel at t = {t!r} overflows the float range"])
+    return HeatResult(t, op.vertices, kernel, mass, trace)
 
 
 def trace_convergence(

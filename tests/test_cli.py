@@ -198,6 +198,17 @@ class TestExitCodes:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and "not a finite number" in err[0]
 
+    def test_malformed_document_structure_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"format_version": 1, "metadata": [1, 2], "vertices": [{"id": "a"}, {"id": "b"}], '
+            '"edges": [{"u": ["a"], "v": "b", "b": 1.0}]}'
+        )
+        code, data = run(["resistance", "--pair", "a,b", str(bad)], tmp_path, "r.json")
+        assert code == 2 and data == b""
+        err = capsys.readouterr().err
+        assert "metadata [1, 2] is not an object" in err and "u=['a']" in err
+
     def test_missing_file_is_2(self, tmp_path):
         assert main(["metric", str(tmp_path / "none.json")]) == 2
 
@@ -300,10 +311,20 @@ class TestExitCodes:
              "origin '0:0' lies in the ground set"),
             (["capacity", "--family", "comb", "--levels", "0"],
              "comb: the level ladder is empty"),
+            # eigh gives the zero mode as about -1e-15, and exp(-t * that) overflows
+            (["heat", "--t", "1e308", "DOC"], "heat kernel at t = 1e+308 overflows the float range"),
+            (["heat", "--kind", "neumann", "--t", "1e308", "--probe", "0:0,1:0", "DOC"],
+             "heat kernel at t = 1e+308 overflows the float range"),
+            (["gen", "--family", "comb", "--levels", "3", "--measure", "unit:7"],
+             "the unit measure rule takes no parameter, got 7.0"),
+            (["gen", "--family", "comb", "--levels", "3", "--measure", "canonical:0.5"],
+             "the canonical measure rule takes no parameter, got 0.5"),
         ],
         ids=["dirichlet_nan", "dirichlet_inf", "capacity_nan", "capacity_inf", "diagnose_nan",
-             "diagnose_zero", "origin_in_ground", "capacity_empty_ladder"],
+             "diagnose_zero", "origin_in_ground", "capacity_empty_ladder", "heat_overflow",
+             "heat_probe_overflow", "unit_measure_param", "canonical_measure_param"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_refused_value_is_2(self, argv, message, comb_doc, tmp_path, capsys):
         argv = [comb_doc if a == "DOC" else a for a in argv]
         code, data = run(argv, tmp_path, "out")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from graphlab.diagnose import (
 )
 from graphlab.errors import ConsistencyError
 from graphlab.exhaustion import AnalyticFacts
-from graphlab.families import FamilySpec, make
+from graphlab.families import FamilySpec, add_killing, make
 from graphlab.metrics import path_metric
 
 from conftest import random_connected_graph
@@ -221,3 +222,24 @@ def test_canonical_mass_battery_member(monkeypatch):
     assert battery["d_with_canonical_mass"] == "holds(empirical)"
     assert report.conditions["C"].status == "holds(empirical)"
     assert counts == {"rho": 1, "d": 1}
+
+
+@pytest.mark.parametrize(
+    "fam, level",
+    [
+        (make(FamilySpec("twin_rays")), 48),
+        (add_killing(make(FamilySpec("comb")), lambda v: 0.5), 40),
+    ],
+    ids=["twin_rays_48", "comb_killing_40"],
+)
+def test_diagnose_holds_one_table_at_a_time(fam, level):
+    # the d, battery and rho tables are each released before the next one
+    # is built; with killing, the rho sweep's heart row and column ride along
+    n = fam.build_ball(level).graph.size
+    tracemalloc.start()
+    try:
+        diagnose_family(fam, levels=level, probe_cap=level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * n * 8

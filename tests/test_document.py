@@ -100,6 +100,24 @@ class TestValidation:
         with pytest.raises(ValidationError, match="unknown vertex"):
             parse_document(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("metadata", "x", "metadata 'x' is not an object"),
+            ("metadata", [1, 2], "metadata [1, 2] is not an object"),
+            ("vertices", 5, "vertices 5 is not an array"),
+            ("edges", 7, "edges 7 is not an array"),
+            ("edges", [{"u": ["a"], "v": "b", "b": 1.0}], "u=['a'], v='b' are not both vertex id strings"),
+            ("edges", [{"u": "a", "v": {"b": 1}, "b": 1.0}], "u='a', v={'b': 1} are not both vertex id strings"),
+        ],
+        ids=["metadata_string", "metadata_list", "vertices_number", "edges_number", "u_list", "v_object"],
+    )
+    def test_malformed_structure_is_a_violation(self, field, value, message):
+        doc = dict(MINIMAL, **{field: value})
+        with pytest.raises(ValidationError) as err:
+            parse_document(json.dumps(doc))
+        assert any(message in v for v in err.value.violations)
+
     def test_bad_json(self):
         with pytest.raises(ValidationError, match="invalid JSON"):
             parse_document("{nope")
