@@ -1,11 +1,13 @@
 """Graph documents: a canonical JSON interchange format.
 
 A document lists vertices (with killing term and optional mass) and
-edges keyed by lexicographically ordered endpoint ids.  Serialization is
-canonical: keys sorted, floats emitted as shortest round-trip decimals,
-fixed field order, one trailing newline; parsing then serializing a
-canonical document is the identity.  The heart vertex id is reserved and
-rejected on input.
+edges keyed by lexicographically ordered endpoint ids.  Parsing checks
+the text and reads it straight into the graph and, when every vertex
+carries mass, the measure; writing reads them straight back out.
+Serialization is canonical: keys sorted, floats emitted as shortest
+round-trip decimals, fixed field order, one trailing newline; parsing
+then serializing a canonical document is the identity.  The heart vertex
+id is reserved and rejected on input.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ _CANONICAL_KEYS = {"format_version", "vertices", "edges", "metadata"}
 
 @dataclass(frozen=True)
 class GraphDocument:
-    """Validated document contents, in canonical order."""
+    """A document's graph, its measure (None unless every vertex carries
+    mass), its metadata and its format version."""
 
-    vertices: tuple[dict, ...]
-    edges: tuple[dict, ...]
+    graph: WeightedGraph
+    measure: Measure | None = None
     metadata: dict = field(default_factory=dict)
     format_version: int = FORMAT_VERSION
 
@@ -39,21 +42,10 @@ def document_from_graph(
     m: Measure | None = None,
     metadata: Mapping | None = None,
 ) -> GraphDocument:
-    ids = [str(v) for v in g.vertices]
-    if len(set(ids)) != len(ids):
+    ids = {str(v) for v in g.vertices}
+    if len(ids) != len(g.vertices):
         raise ValidationError(["vertex ids collide after string conversion"])
-    vrows = []
-    for v in sorted(g.vertices, key=str):
-        row = {"id": str(v), "c": float(g.killing[v])}
-        if m is not None:
-            row["m"] = float(m[v])
-        vrows.append(row)
-    erows = []
-    for (u, v), b in g.edges.items():
-        su, sv = sorted((str(u), str(v)))
-        erows.append({"u": su, "v": sv, "b": float(b)})
-    erows.sort(key=lambda e: (e["u"], e["v"]))
-    return GraphDocument(tuple(vrows), tuple(erows), dict(metadata or {}))
+    return GraphDocument(g, m, dict(metadata or {}))
 
 
 def _number(value) -> float | None:
@@ -78,9 +70,10 @@ def _array(raw: dict, key: str, violations: list[str]) -> list:
 
 
 def parse_document(text: str) -> GraphDocument:
-    """Parse and validate document JSON; returns the canonical contents.
+    """Parse and validate document JSON into its graph and measure.
 
-    Unknown top-level fields are preserved under metadata.  All
+    Vertices come out sorted by id and edges in order of their ordered
+    ids.  Unknown top-level fields are preserved under metadata.  All
     structural violations are collected into one ValidationError.
     """
     try:
@@ -101,8 +94,9 @@ def parse_document(text: str) -> GraphDocument:
     for key in sorted(set(raw) - _CANONICAL_KEYS):
         metadata.setdefault("unknown_fields", {})[key] = raw[key]
 
-    vrows = []
-    seen_ids = set()
+    # every id that passes the id checks is a vertex, whatever its values
+    killing: dict[str, float | None] = {}
+    mass: dict[str, float | None] = {}
     for entry in _array(raw, "vertices", violations):
         if not isinstance(entry, dict) or "id" not in entry:
             violations.append(f"malformed vertex entry {entry!r}")
@@ -114,29 +108,24 @@ def parse_document(text: str) -> GraphDocument:
         if vid == HEART:
             violations.append(f"reserved vertex id {HEART!r}")
             continue
-        if vid in seen_ids:
+        if vid in killing:
             violations.append(f"duplicate vertex id {vid!r}")
             continue
-        seen_ids.add(vid)
-        c = _number(entry.get("c", 0.0))
+        c = killing[vid] = _number(entry.get("c", 0.0))
         if c is None:
             violations.append(f"killing term at {vid!r} is not a finite number")
         elif c < 0:
             violations.append(f"negative killing term at {vid!r}")
-        row = {"id": vid, "c": c}
         if "m" in entry:
-            mv = _number(entry["m"])
+            mv = mass[vid] = _number(entry["m"])
             if mv is None:
                 violations.append(f"measure at {vid!r} is not a finite number")
             elif not (mv > 0):
                 violations.append(f"nonpositive measure at {vid!r}")
-            row["m"] = mv
-        vrows.append(row)
-    if not vrows:
+    if not killing:
         violations.append("document has no vertices")
 
-    erows = []
-    seen_edges = set()
+    edges: dict[tuple[str, str], float] = {}
     for entry in _array(raw, "edges", violations):
         if not isinstance(entry, dict) or not {"u", "v", "b"} <= set(entry):
             violations.append(f"malformed edge entry {entry!r}")
@@ -145,7 +134,7 @@ def parse_document(text: str) -> GraphDocument:
         if not (isinstance(u, str) and isinstance(v, str)):
             violations.append(f"edge endpoints u={u!r}, v={v!r} are not both vertex id strings")
             continue
-        if u not in seen_ids or v not in seen_ids:
+        if u not in killing or v not in killing:
             violations.append(f"edge ({u!r},{v!r}) references unknown vertex")
             continue
         if u == v:
@@ -154,7 +143,7 @@ def parse_document(text: str) -> GraphDocument:
         if not (u < v):
             violations.append(f"edge endpoints not ordered: ({u!r},{v!r})")
             continue
-        if (u, v) in seen_edges:
+        if (u, v) in edges:
             violations.append(f"duplicate edge ({u!r},{v!r})")
             continue
         if b is None:
@@ -163,48 +152,49 @@ def parse_document(text: str) -> GraphDocument:
         if not (b > 0):
             violations.append(f"nonpositive weight on edge ({u!r},{v!r})")
             continue
-        seen_edges.add((u, v))
-        erows.append({"u": u, "v": v, "b": b})
+        edges[(u, v)] = b
     if violations:
         raise ValidationError(violations)
-    vrows.sort(key=lambda r: r["id"])
-    erows.sort(key=lambda e: (e["u"], e["v"]))
-    return GraphDocument(tuple(vrows), tuple(erows), metadata, FORMAT_VERSION)
+    vertices = tuple(sorted(killing))
+    g = WeightedGraph(vertices, dict(sorted(edges.items())), {v: killing[v] for v in vertices})
+    m = None
+    if len(mass) == len(vertices):
+        values = {v: mass[v] for v in vertices}
+        m = Measure(values, math.fsum(values.values()))
+    return GraphDocument(g, m, metadata, FORMAT_VERSION)
 
 
 def serialize_document(doc: GraphDocument) -> str:
-    """Canonical JSON text: fixed field order inside entries, sorted keys
-    elsewhere, shortest round-trip decimals, trailing newline."""
+    """Canonical JSON text: vertices sorted by string id, each edge keyed
+    by its ordered string ids, keys sorted, shortest round-trip decimals,
+    trailing newline."""
+    g, m = doc.graph, doc.measure
+    vertices = []
+    for v in sorted(g.vertices, key=str):
+        row = {"id": str(v), "c": float(g.killing[v])}
+        if m is not None:
+            row["m"] = float(m[v])
+        vertices.append(row)
+    edges = []
+    for (u, v), b in g.edges.items():
+        su, sv = str(u), str(v)
+        edges.append((su, sv, b) if su < sv else (sv, su, b))
+    edges.sort()
     payload = {
         "format_version": doc.format_version,
-        "vertices": [
-            {k: row[k] for k in ("id", "c", "m") if k in row} for row in doc.vertices
-        ],
-        "edges": [{"u": e["u"], "v": e["v"], "b": e["b"]} for e in doc.edges],
+        "vertices": vertices,
+        "edges": [{"u": u, "v": v, "b": float(b)} for u, v, b in edges],
         "metadata": doc.metadata,
     }
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 def graph_from_document(doc: GraphDocument) -> tuple[WeightedGraph, Measure | None]:
-    """Materialize the graph and, when every vertex carries mass, the measure.
-
-    The document is one that ``parse_document`` or ``document_from_graph``
-    produced: its invariants are checked and its rows are in canonical
-    order (vertices sorted by id, each edge keyed by its ordered ids), so
-    the graph is constructed as it stands instead of validated again.
-    """
-    vertices = tuple(row["id"] for row in doc.vertices)
-    killing = {row["id"]: row["c"] for row in doc.vertices}
-    edges = {(e["u"], e["v"]): e["b"] for e in doc.edges}
-    g = WeightedGraph(vertices, edges, killing)
-    if all("m" in row for row in doc.vertices):
-        return g, Measure.from_mapping({row["id"]: row["m"] for row in doc.vertices})
-    return g, None
+    """The document's graph and measure: ``parse_document`` reads a text
+    straight into both, and ``document_from_graph`` holds the ones given."""
+    return doc.graph, doc.measure
 
 
 def load_graph(path: str) -> tuple[WeightedGraph, Measure | None]:
     with open(path, encoding="utf-8") as fh:
-        doc = parse_document(fh.read())
-    return graph_from_document(doc)
-
+        return graph_from_document(parse_document(fh.read()))

@@ -10,10 +10,9 @@ eigensolve serves every time value of the heat semigroup.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-import math
 
 import numpy as np
 
@@ -130,6 +129,18 @@ class HeatResult:
         return float(self.kernel[self._position[x], self._position[y]])
 
 
+def _finite_at(t: float, compute: Callable[[], tuple]) -> tuple:
+    """The arrays and numbers ``compute`` derives from the heat weights
+    exp(-t λ), with numpy's overflow warnings off; ValidationError when any
+    of them is not finite.  An eigensolver can give a zero eigenvalue as
+    about -1e-15, and at a large t its weight overflows to inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = compute()
+    if not all(np.isfinite(x).all() for x in values):
+        raise ValidationError([f"heat kernel at t = {t!r} overflows the float range"])
+    return values
+
+
 def heat(
     op: TruncatedOperator,
     t: float,
@@ -143,15 +154,13 @@ def heat(
         raise ValidationError(["heat semigroup needs a finite t >= 0"])
     spec = spec or spectrum(op)
     phi = spec.eigenfunctions
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def semigroup():
         weights = np.exp(-t * spec.eigenvalues)
         kernel = (phi * weights[None, :]) @ phi.T
-        mass = kernel @ op.measure
-        trace = float(weights.sum())
-    # an infinite weight exp(-t λ) makes kernel entries inf or nan
-    if not (np.isfinite(kernel).all() and np.isfinite(mass).all() and math.isfinite(trace)):
-        raise ValidationError([f"heat kernel at t = {t!r} overflows the float range"])
-    return HeatResult(t, op.vertices, kernel, mass, trace)
+        return kernel, kernel @ op.measure, float(weights.sum())
+
+    return HeatResult(t, op.vertices, *_finite_at(t, semigroup))
 
 
 def trace_convergence(
@@ -180,7 +189,8 @@ def trace_convergence(
             op = assemble(b.graph, b.measure, "dirichlet", b.frontier)
         if t == 0:
             return float(op.size)
-        return float(np.exp(-t * np.linalg.eigvalsh(op.matrix)).sum())
+        lam = np.linalg.eigvalsh(op.matrix)
+        return _finite_at(t, lambda: (float(np.exp(-t * lam).sum()),))[0]
 
     return climb(fam, levels, trace, tolerance, trend=1)[1]
 

@@ -560,3 +560,91 @@ class TestCsvFormat:
         assert code == 0
         # q"x's edges 2.0 and 0.3 plus its killing term 0.5
         assert json.loads(data)["capacity"] == pytest.approx(2.8, rel=1e-15)
+
+
+def _doc_text(**fields):
+    doc = {
+        "format_version": 1,
+        "metadata": {},
+        "vertices": [{"id": "a", "c": 0.0, "m": 1.0}, {"id": "b", "c": 0.5, "m": 2.0}],
+        "edges": [{"u": "a", "v": "b", "b": 2.0}],
+    }
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+_AB = [{"id": "a", "c": 0.0}, {"id": "b", "c": 0.0}]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{nope", "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("[1, 2]", "document root must be an object"),
+        (_doc_text(format_version=2), "unsupported format_version 2"),
+        (_doc_text(metadata="x"), "metadata 'x' is not an object"),
+        (_doc_text(vertices={"a": 1}),
+         "vertices {'a': 1} is not an array; document has no vertices; "
+         "edge ('a','b') references unknown vertex"),
+        (_doc_text(edges="ab"), "edges 'ab' is not an array"),
+        (_doc_text(vertices=_AB + [5]), "malformed vertex entry 5"),
+        (_doc_text(vertices=_AB + [{"c": 0.0}]), "malformed vertex entry {'c': 0.0}"),
+        (_doc_text(vertices=_AB + [{"id": 7, "c": 0.0}]), "vertex id 7 is not a string"),
+        (_doc_text(vertices=_AB + [{"id": "♥", "c": 0.0}]), "reserved vertex id '♥'"),
+        (_doc_text(vertices=_AB + [{"id": "a", "c": 1.0}]), "duplicate vertex id 'a'"),
+        (_doc_text(vertices=[{"id": "a", "c": "1"}, {"id": "b"}]),
+         "killing term at 'a' is not a finite number"),
+        (_doc_text(vertices=[{"id": "a", "c": -0.5}, {"id": "b"}]), "negative killing term at 'a'"),
+        (_doc_text(vertices=[{"id": "a", "m": None}, {"id": "b", "m": 1.0}]),
+         "measure at 'a' is not a finite number"),
+        (_doc_text(vertices=[{"id": "a", "m": 0}, {"id": "b", "m": 1.0}]), "nonpositive measure at 'a'"),
+        (_doc_text(vertices=[], edges=[]), "document has no vertices"),
+        (_doc_text(edges=[{"u": "a", "v": "b"}]), "malformed edge entry {'u': 'a', 'v': 'b'}"),
+        (_doc_text(edges=[["a", "b", 1.0]]), "malformed edge entry ['a', 'b', 1.0]"),
+        (_doc_text(edges=[{"u": 1, "v": "b", "b": 1.0}]),
+         "edge endpoints u=1, v='b' are not both vertex id strings"),
+        (_doc_text(edges=[{"u": "a", "v": "z", "b": 1.0}]), "edge ('a','z') references unknown vertex"),
+        (_doc_text(edges=[{"u": "a", "v": "a", "b": 1.0}]), "self-loop at 'a'"),
+        (_doc_text(edges=[{"u": "b", "v": "a", "b": 1.0}]), "edge endpoints not ordered: ('b','a')"),
+        (_doc_text(edges=[{"u": "a", "v": "b", "b": 1.0}] * 2), "duplicate edge ('a','b')"),
+        (_doc_text(edges=[{"u": "a", "v": "b", "b": float("inf")}]),
+         "weight on edge ('a','b') is not a finite number"),
+        (_doc_text(edges=[{"u": "a", "v": "b", "b": True}]),
+         "weight on edge ('a','b') is not a finite number"),
+        (_doc_text(edges=[{"u": "a", "v": "b", "b": 0}]), "nonpositive weight on edge ('a','b')"),
+        (
+            _doc_text(
+                format_version=3,
+                metadata=[1],
+                extra={"k": 1},
+                vertices=[{"id": "b", "c": -1, "m": 0}, {"id": "b"}, {"id": "a", "c": "x"}, 3,
+                          {"id": "♥"}, {"id": "c", "m": float("inf")}],
+                edges=[{"u": "b", "v": "a", "b": 1}, {"u": "a", "v": "b", "b": 0},
+                       {"u": "a", "v": "b", "b": 1}, {"u": "a", "v": "b", "b": 2},
+                       {"u": "a", "v": "zz", "b": 1}, {"u": "c", "v": "c", "b": 1}, "e",
+                       {"u": "a", "v": None, "b": 1}, {"u": "b", "v": "c", "b": "2"}],
+            ),
+            "unsupported format_version 3; metadata [1] is not an object; "
+            "negative killing term at 'b'; nonpositive measure at 'b'; duplicate vertex id 'b'; "
+            "killing term at 'a' is not a finite number; malformed vertex entry 3; "
+            "reserved vertex id '♥'; measure at 'c' is not a finite number; "
+            "edge endpoints not ordered: ('b','a'); nonpositive weight on edge ('a','b'); "
+            "duplicate edge ('a','b'); edge ('a','zz') references unknown vertex; self-loop at 'c'; "
+            "malformed edge entry 'e'; edge endpoints u='a', v=None are not both vertex id strings; "
+            "weight on edge ('b','c') is not a finite number",
+        ),
+    ],
+    ids=["bad_json", "root_array", "format_version", "metadata", "vertices_object", "edges_string",
+         "vertex_not_object", "vertex_without_id", "vertex_id_number", "heart_id", "duplicate_vertex",
+         "killing_string", "negative_killing", "measure_null", "zero_measure", "no_vertices",
+         "edge_without_b", "edge_not_object", "edge_endpoint_number", "unknown_endpoint", "self_loop",
+         "unordered_edge", "duplicate_edge", "infinite_weight", "boolean_weight", "zero_weight",
+         "several"],
+)
+def test_refused_document_text(text, message, tmp_path, capsys):
+    # the exact line, violations in document order: vertices, then edges
+    doc = tmp_path / "bad.json"
+    doc.write_text(text, encoding="utf-8")
+    code, data = run(["resistance", "--pair", "a,b", str(doc)], tmp_path, "r.json")
+    assert code == 2 and data == b""
+    assert capsys.readouterr().err == f"error: {message}\n"

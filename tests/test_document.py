@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from graphlab.cli import main
 from graphlab.document import (
     document_from_graph,
     graph_from_document,
@@ -11,7 +12,7 @@ from graphlab.document import (
     serialize_document,
 )
 from graphlab.errors import ValidationError
-from graphlab.families import FamilySpec, make
+from graphlab.families import FamilySpec, make, parse_family_spec
 from graphlab.heart import HEART
 
 from conftest import random_connected_graph, random_measure
@@ -133,3 +134,33 @@ def test_serialization_deterministic(rng):
     g = random_connected_graph(rng, 10)
     doc = document_from_graph(g, None, metadata={"z": 1, "a": [3, 2]})
     assert serialize_document(doc) == serialize_document(doc)
+
+
+def _undirected(g):
+    return {frozenset((str(u), str(v))): b for (u, v), b in g.edges.items()}
+
+
+@pytest.mark.parametrize(
+    "family, measure",
+    [
+        (family, measure)
+        for family in ("comb", "twin_rays", "triangle_ladder", "ray_power:3", "random_tree:3:40")
+        for measure in ("unit", "canonical", "geometric:0.5")
+    ]
+    + [("star_augmented", "unit")],
+)
+def test_gen_text_round_trips_where_string_order_flips_edges(family, measure, tmp_path):
+    # at level 12 string order puts "10:0" before "9:0", against vertex order
+    out = tmp_path / "ball.json"
+    argv = ["gen", "--family", family, "--levels", "12", "--measure", measure, "-o", str(out)]
+    assert main(argv) == 0
+    text = out.read_text(encoding="utf-8")
+    assert serialize_document(parse_document(text)) == text
+    rule, _, q = measure.partition(":")
+    ball = make(parse_family_spec(family, rule, float(q) if q else None)).build_ball(12)
+    g, m = graph_from_document(parse_document(text))
+    assert set(g.vertices) == {str(v) for v in ball.graph.vertices}
+    assert _undirected(g) == _undirected(ball.graph)
+    assert g.killing == {str(v): c for v, c in ball.graph.killing.items()}
+    assert m.values == {str(v): x for v, x in ball.measure.values.items()}
+    assert m.total == ball.measure.total

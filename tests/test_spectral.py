@@ -217,3 +217,17 @@ class TestTraceConvergence:
         fam = make(FamilySpec("ray_power", (3.0,), "geometric", 0.5))
         with pytest.raises(ValidationError, match="finite t"):
             trace_convergence(fam, t, range(3, 6))
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_time_gives_zero_traces_without_warning(self):
+        fam = make(FamilySpec("comb", (), "canonical"))
+        rep = trace_convergence(fam, 1e308, range(2, 7))
+        assert rep.values == (0.0,) * 5
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_trace_is_refused(self, monkeypatch):
+        # an eigensolver may give a Dirichlet eigenvalue slightly below 0
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([-1e-16, 1.0]))
+        fam = make(FamilySpec("comb", (), "canonical"))
+        with pytest.raises(ValidationError, match="at t = 1e\\+308 overflows the float range"):
+            trace_convergence(fam, 1e308, range(2, 7))
