@@ -5,8 +5,9 @@ corresponding library operation, and writes JSON (structured results) or
 CSV (sequences and tables) to the chosen path.  Outputs are
 deterministic: identical inputs and flags produce byte-identical bytes.
 
-Exit codes: 0 success, 2 validation or usage error, 3 when
---require-conclusive was given and the report stayed inconclusive.
+Exit codes: 0 success, 2 validation or usage error (a path that cannot
+be read or written included), 3 when --require-conclusive was given and
+the report stayed inconclusive.
 
 Pair arguments name the two members with a comma and separate pairs with
 semicolons (vertex ids may contain colons), e.g. ``--probe 0:0,0:2``.
@@ -14,20 +15,24 @@ Comma-separated lists take the tables' ``csv`` quoting: ``"a,b"`` names
 an id holding a comma, and a quoted ``" lead=1"`` keeps its leading space.
 
 CSV tables: floats as their shortest round-trip ``repr`` (``inf`` for
-either infinity), ids quoted only when they hold a comma, a quote or a
-newline; full ``heat`` lists kernel pairs i <= j in vertex order, then each
-mass, then the partial trace; all-pairs ``metric`` lists pairs i < j.
+either infinity); an id is quoted, as the ``csv`` module quotes it under
+``lineterminator="\\n"``, only when it holds a comma, a double quote or a
+newline (``\\n``), while a carriage return (``\\r``) stays bare.  Full
+``heat`` lists kernel pairs i <= j in vertex order, then each mass, then
+the partial trace; all-pairs ``metric`` lists pairs i < j.  Tables are
+written one block of lines per x vertex, never as one whole string.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+from collections.abc import Iterable, Iterator
 import functools
-import io
 import json
 import sys
 from itertools import chain, repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,38 +62,69 @@ EXIT_VALIDATION = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, chunks: Iterable[str]) -> None:
+    """Write each text chunk in turn to ``path``, or to stdout for None or "-"."""
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n"
 
 
-def _csv_text(header: list[str], columns: list) -> str:
-    """CSV of ``header`` then the rows zipped from ``columns``, in one call."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*columns))
-    return buf.getvalue()
+# writerow returns what the file's write returns: here the line itself
+_csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+
+
+def _cells(ids) -> list[str]:
+    """Each id as its CSV cell, quoted by the csv module's own rule.  Each
+    comes from a row of two fields: a lone empty field would be ``""``."""
+    return [_csv_line((v, ""))[:-2] for v in ids]
 
 
 def _float_strings(values) -> list[str]:
-    """Each value's shortest round-trip repr, with INF_MARKER for +-inf."""
-    arr = np.asarray(values, dtype=float)
-    out = list(map(float.__repr__, arr.tolist()))
-    for k in np.flatnonzero(np.isinf(arr)).tolist():
-        out[k] = INF_MARKER
-    return out
+    """Each value's shortest round-trip repr, with INF_MARKER for +-inf.
+
+    ``repr`` runs once per distinct bit pattern, so -0.0 and 0.0 keep
+    their own strings."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    floats = distinct.view(float)
+    strings = np.array(list(map(float.__repr__, floats.tolist())), dtype=object)
+    strings[np.isinf(floats)] = INF_MARKER
+    return strings[inverse].tolist()
 
 
-def _take(ids: list[str], idx: np.ndarray) -> list[str]:
-    return list(map(ids.__getitem__, idx.tolist()))
+def _lines(*columns) -> str:
+    """The CSV rows zipped from ``columns``, one line each; a str column
+    is one cell repeated on every row, and a cell is written as it is."""
+    rows = zip(*(repeat(c) if isinstance(c, str) else c for c in columns))
+    text = "\n".join(map(",".join, rows))
+    return text + "\n" if text else ""
+
+
+def _pair_blocks(cells: list[str], table: np.ndarray, k: int, *lead: str) -> Iterator[str]:
+    """The lines of ``table``'s pairs (x, y), y at least ``k`` places after
+    x, one block per x; each line starts with the ``lead`` cells."""
+    n = len(cells)
+    values = _float_strings(table[np.triu_indices(n, k)])
+
+    def blocks():
+        start = 0
+        for i in range(n - k):
+            stop = start + n - k - i
+            yield _lines(*lead, cells[i], cells[i + k:], values[start:stop])
+            start = stop
+
+    return blocks()
+
+
+def _write_table(path: str | None, header: list[str], blocks: Iterable[str]) -> None:
+    """Stream a CSV table: the header line, then each block of lines."""
+    _write(path, chain([",".join(header) + "\n"], blocks))
 
 
 def _fields(text: str, skip_spaces: bool = False) -> list[str]:
@@ -159,7 +195,7 @@ def cmd_gen(args) -> int:
             "frontier": sorted(str(v) for v in ball.frontier),
         },
     )
-    _write(args.output, serialize_document(doc))
+    _write(args.output, [serialize_document(doc)])
     return EXIT_OK
 
 
@@ -179,13 +215,13 @@ def cmd_metric(args) -> int:
     else:
         raise GraphlabError(f"unknown length {args.length!r}")
     table = path_metric(g, length, args.source)
-    ids = [str(v) for v in table.vertices]
+    cells = _cells(str(v) for v in table.vertices)
     if table.source is not None:
-        xs, ys, dist = repeat(str(table.source)), ids, table.dist[0]
+        source = _cells([str(table.source)])[0]
+        blocks = [_lines(source, cells, _float_strings(table.dist[0]))]
     else:
-        i, j = np.triu_indices(len(ids), 1)
-        xs, ys, dist = _take(ids, i), _take(ids, j), table.dist[i, j]
-    _write(args.output, _csv_text(["x", "y", "distance"], [xs, ys, _float_strings(dist)]))
+        blocks = _pair_blocks(cells, table.dist, 1)
+    _write_table(args.output, ["x", "y", "distance"], blocks)
     return EXIT_OK
 
 
@@ -210,7 +246,7 @@ def cmd_resistance(args) -> int:
                 str(v): float(complex(res.minimizer[v]).real) for v in g.vertices
             }
         payload.append(entry)
-    _write(args.output, _json_text(payload))
+    _write(args.output, [_json_text(payload)])
     return EXIT_OK
 
 
@@ -219,8 +255,8 @@ def cmd_spectrum(args) -> int:
     boundary = _parse_ids(args.boundary or "")
     op = assemble(g, _measure_or_unit(g, m), args.kind, boundary)
     spec = spectrum(op)
-    columns = [range(op.size), _float_strings(spec.eigenvalues)]
-    _write(args.output, _csv_text(["index", "eigenvalue"], columns))
+    rows = _lines(list(map(str, range(op.size))), _float_strings(spec.eigenvalues))
+    _write_table(args.output, ["index", "eigenvalue"], [rows])
     return EXIT_OK
 
 
@@ -229,22 +265,19 @@ def cmd_heat(args) -> int:
     boundary = _parse_ids(args.boundary or "")
     op = assemble(g, _measure_or_unit(g, m), args.kind, boundary)
     result = heat(op, args.t)
-    n = op.size
-    ids = [str(v) for v in op.vertices]
+    cells = _cells(str(v) for v in op.vertices)
+    tail = [
+        _lines("mass", cells, "", _float_strings(result.mass)),
+        _lines("partial_trace", "", "", _float_strings([result.partial_trace])),
+    ]
     if args.probe:
         pairs = _parse_pairs(args.probe)
-        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-        kernel = [result.entry(x, y) for x, y in pairs]
+        kernel = _float_strings([result.entry(x, y) for x, y in pairs])
+        xs, ys = _cells(x for x, _ in pairs), _cells(y for _, y in pairs)
+        blocks = [_lines("kernel", xs, ys, kernel), *tail]
     else:
-        i, j = np.triu_indices(n)
-        xs, ys, kernel = _take(ids, i), _take(ids, j), result.kernel[i, j]
-    columns = [
-        chain(repeat("kernel", len(xs)), repeat("mass", n), ["partial_trace"]),
-        chain(xs, ids, [""]),
-        chain(ys, repeat("", n), [""]),
-        _float_strings(np.concatenate([kernel, result.mass, [result.partial_trace]])),
-    ]
-    _write(args.output, _csv_text(["quantity", "x", "y", "value"], columns))
+        blocks = chain(_pair_blocks(cells, result.kernel, 0, "kernel"), tail)
+    _write_table(args.output, ["quantity", "x", "y", "value"], blocks)
     return EXIT_OK
 
 
@@ -253,8 +286,8 @@ def cmd_dirichlet(args) -> int:
     values = _parse_assignments(args.boundary)
     u = solve_dirichlet(DirichletProblem(g, values))
     real = np.real([u[v] for v in g.vertices])
-    columns = [[str(v) for v in g.vertices], _float_strings(real)]
-    _write(args.output, _csv_text(["vertex", "value"], columns))
+    rows = _lines(_cells(str(v) for v in g.vertices), _float_strings(real))
+    _write_table(args.output, ["vertex", "value"], [rows])
     return EXIT_OK
 
 
@@ -285,7 +318,7 @@ def cmd_capacity(args) -> int:
             "ground": targets,
             "capacity": capacity_to_set(g, args.origin, targets),
         }
-    _write(args.output, _json_text(payload))
+    _write(args.output, [_json_text(payload)])
     return EXIT_OK
 
 
@@ -313,12 +346,12 @@ def cmd_reduce_heart(args) -> int:
             ],
             "ok": comparison.ok,
         }
-        _write(args.output, _json_text(payload))
+        _write(args.output, [_json_text(payload)])
     else:
         doc = document_from_graph(
             hg.augmented, None, metadata={"reduced_from": args.graph, "heart_id": hg.heart_id}
         )
-        _write(args.output, serialize_document(doc))
+        _write(args.output, [serialize_document(doc)])
     return EXIT_OK
 
 
@@ -331,7 +364,7 @@ def cmd_diagnose(args) -> int:
             raise GraphlabError("diagnose needs --family or a graph document")
         g, _ = load_graph(args.graph)
         report = diagnose_graph(g, args.graph)
-    _write(args.output, _json_text(report.to_json_dict()))
+    _write(args.output, [_json_text(report.to_json_dict())])
     if args.require_conclusive and report.has_inconclusive():
         return EXIT_INCONCLUSIVE
     return EXIT_OK
@@ -435,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
     except GraphlabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
 

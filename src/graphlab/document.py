@@ -164,29 +164,53 @@ def parse_document(text: str) -> GraphDocument:
     return GraphDocument(g, m, metadata, FORMAT_VERSION)
 
 
+def _tokens(values) -> list[str]:
+    """Each scalar's JSON text from the C encoder: ``ensure_ascii`` escapes
+    and ``float.__repr__`` numbers.  The encoder escapes every control
+    character inside a string, so no token holds the separator."""
+    if not values:
+        return []
+    return json.dumps(values, separators=("\x00", ":"))[1:-1].split("\x00")
+
+
+def _entries(columns: dict[str, tuple]) -> str:
+    """The array of one entry per row of ``columns``, keys sorted, as it
+    stands at depth 1 of the ``indent=1`` layout."""
+    keys = sorted(columns)
+    template = "  {\n" + ",\n".join(f'   "{k}": %s' for k in keys) + "\n  }"
+    rows = zip(*(_tokens(columns[k]) for k in keys))
+    entries = [template % row for row in rows]
+    return "[\n" + ",\n".join(entries) + "\n ]" if entries else "[]"
+
+
 def serialize_document(doc: GraphDocument) -> str:
     """Canonical JSON text: vertices sorted by string id, each edge keyed
     by its ordered string ids, keys sorted, shortest round-trip decimals,
-    trailing newline."""
+    trailing newline.
+
+    The bytes are those of ``json.dumps(payload, sort_keys=True,
+    indent=1)``.  Any indent sends that call to the pure-Python encoder,
+    so here the C encoder writes the scalars and the layout is filled in
+    around them."""
     g, m = doc.graph, doc.measure
-    vertices = []
-    for v in sorted(g.vertices, key=str):
-        row = {"id": str(v), "c": float(g.killing[v])}
-        if m is not None:
-            row["m"] = float(m[v])
-        vertices.append(row)
+    order = sorted(g.vertices, key=str)
+    vertices = {"c": [float(g.killing[v]) for v in order], "id": [str(v) for v in order]}
+    if m is not None:
+        vertices["m"] = [float(m[v]) for v in order]
     edges = []
     for (u, v), b in g.edges.items():
         su, sv = str(u), str(v)
-        edges.append((su, sv, b) if su < sv else (sv, su, b))
+        edges.append((su, sv, float(b)) if su < sv else (sv, su, float(b)))
     edges.sort()
-    payload = {
-        "format_version": doc.format_version,
-        "vertices": vertices,
-        "edges": [{"u": u, "v": v, "b": float(b)} for u, v, b in edges],
-        "metadata": doc.metadata,
-    }
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    us, vs, bs = zip(*edges) if edges else ((), (), ())
+    # metadata sits one level deep; no JSON string holds a raw newline
+    metadata = json.dumps(doc.metadata, sort_keys=True, indent=1).replace("\n", "\n ")
+    return (
+        f'{{\n "edges": {_entries({"b": bs, "u": us, "v": vs})},\n'
+        f' "format_version": {json.dumps(doc.format_version)},\n'
+        f' "metadata": {metadata},\n'
+        f' "vertices": {_entries(vertices)}\n}}\n'
+    )
 
 
 def graph_from_document(doc: GraphDocument) -> tuple[WeightedGraph, Measure | None]:
@@ -197,4 +221,8 @@ def graph_from_document(doc: GraphDocument) -> tuple[WeightedGraph, Measure | No
 
 def load_graph(path: str) -> tuple[WeightedGraph, Measure | None]:
     with open(path, encoding="utf-8") as fh:
-        return graph_from_document(parse_document(fh.read()))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError([f"document is not UTF-8: {exc}"]) from None
+    return graph_from_document(parse_document(text))

@@ -212,6 +212,24 @@ class TestExitCodes:
     def test_missing_file_is_2(self, tmp_path):
         assert main(["metric", str(tmp_path / "none.json")]) == 2
 
+    def test_output_path_that_is_a_directory_is_2(self, comb_doc, tmp_path, capsys):
+        assert main(["metric", "-o", str(tmp_path), comb_doc]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "Is a directory" in err[0]
+
+    def test_document_path_that_is_a_directory_is_2(self, tmp_path, capsys):
+        assert main(["metric", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "Is a directory" in err[0]
+
+    def test_document_that_is_not_utf8_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"format_version": 1, "vertices": [{"id": "\u00e9"}]}'.encode("latin-1"))
+        code, data = run(["metric", str(bad)], tmp_path, "o.csv")
+        assert code == 2 and data == b""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: document is not UTF-8: ")
+
     def test_comb_100_resistance_is_exact(self, tmp_path):
         # comb weights span 2^0..2^100; the elimination forms no pivot by
         # subtraction, so r(0:0, 94:0) comes out as its path sum
@@ -497,10 +515,13 @@ class TestCsvFormat:
 
     @pytest.fixture
     def quoting_doc(self, tmp_path):
-        ids = ["a,b", 'q"x', " lead", "plain", "z:1"]
-        kills = [0.0, 0.5, 0.0, 0.0, 0.25]
-        masses = [1.0, 2.0, 0.5, 1.0, 1.5]
-        edges = [("a,b", 'q"x', 2.0), ('q"x', " lead", 0.3), ("plain", "z:1", 5.0)]
+        ids = ["a,b", 'q"x', " lead", "plain", "z:1", "", "c\rd", "e\nf"]
+        kills = [0.0, 0.5, 0.0, 0.0, 0.25, 0.0, 0.0, 0.1]
+        masses = [1.0, 2.0, 0.5, 1.0, 1.5, 0.75, 1.0, 2.5]
+        edges = [
+            ("a,b", 'q"x', 2.0), ('q"x', " lead", 0.3), ("plain", "z:1", 5.0),
+            ("", "plain", 1.5), ("c\rd", "e\nf", 0.7), ("e\nf", "a,b", 1.25),
+        ]
         doc = {
             "format_version": 1,
             "vertices": [{"id": v, "c": c, "m": w} for v, c, w in zip(ids, kills, masses)],
@@ -560,6 +581,39 @@ class TestCsvFormat:
         assert code == 0
         # q"x's edges 2.0 and 0.3 plus its killing term 0.5
         assert json.loads(data)["capacity"] == pytest.approx(2.8, rel=1e-15)
+
+    def test_empty_probe_list_writes_no_kernel_lines(self, quoting_doc, tmp_path):
+        code, data = run(["heat", "--t", "0.5", "--probe", ";", quoting_doc], tmp_path, "h.csv")
+        assert code == 0
+        header, rows = _heat_rows(*load_graph(quoting_doc))
+        assert data == _row_by_row_csv(header, [r for r in rows if r[0] != "kernel"])
+
+    def test_cells_take_the_csv_module_rule(self):
+        # a comma, a quote or a newline is quoted; a carriage return and a
+        # leading space stay bare; the empty id is an empty cell
+        ids = ["a,b", 'q"x', " lead", "", "c\rd", "e\nf", "\u00e9"]
+        assert cli_module._cells(ids) == ['"a,b"', '"q""x"', " lead", "", "c\rd", '"e\nf"', "\u00e9"]
+
+    def test_float_strings_format_each_bit_pattern(self):
+        values = [0.0, -0.0, math.inf, -math.inf, 1e-05, 1e16] * 3
+        expected = ["0.0", "-0.0", INF_MARKER, INF_MARKER, "1e-05", "1e+16"] * 3
+        assert cli_module._float_strings(values) == expected
+        assert cli_module._float_strings([]) == []
+
+    @pytest.mark.parametrize(
+        "argv, reference",
+        [(["heat", "--t", "0.5"], _heat_rows), (["metric"], _metric_rows)],
+        ids=["heat_full", "metric"],
+    )
+    def test_comb_12_table_bytes(self, argv, reference, tmp_path):
+        code, _ = run(["gen", "--family", "comb", "--levels", "12"], tmp_path, "comb12.json")
+        assert code == 0
+        doc = str(tmp_path / "comb12.json")
+        code, data = run(argv + [doc], tmp_path, "out.csv")
+        assert code == 0
+        g, m = load_graph(doc)
+        assert data == _row_by_row_csv(*reference(g, m))
+        assert data.count(b"\n") == 1 + len(reference(g, m)[1])
 
 
 def _doc_text(**fields):

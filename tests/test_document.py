@@ -50,6 +50,48 @@ class TestRoundTrip:
             assert all(abs(m2[v] - m[v]) < 1e-15 for v in g.vertices)
             assert serialize_document(parse_document(text)) == text
 
+    def test_indented_layout_with_escapes_and_nested_fields(self):
+        # the layout the standard library's indenting encoder writes, byte
+        # for byte: non-ASCII and control characters escaped, nested
+        # metadata and unknown fields indented, masses written as given
+        raw = {
+            "format_version": 1,
+            "vertices": [
+                {"id": "\u00e9\u2713", "c": 0.25, "m": 1e-300},
+                {"id": 'q"x\n', "c": 0.0, "m": 3.0},
+                {"id": "\U0001d53e", "c": 1e16, "m": 0.1},
+            ],
+            "edges": [
+                {"u": 'q"x\n', "v": "\u00e9\u2713", "b": 2.5},
+                {"u": "\u00e9\u2713", "v": "\U0001d53e", "b": 5e-324},
+            ],
+            "metadata": {"family": "f\u00e9", "nested": {"b": [1, {"c": None}], "a": []}},
+            "extra": {"z": [True, 1.5, "\u2713"], "a": {}},
+        }
+        doc = parse_document(json.dumps(raw))
+        text = serialize_document(doc)
+        payload = {
+            "format_version": 1,
+            "vertices": [
+                {"id": v, "c": doc.graph.killing[v], "m": doc.measure[v]}
+                for v in doc.graph.vertices
+            ],
+            "edges": [{"u": u, "v": v, "b": b} for (u, v), b in doc.graph.edges.items()],
+            "metadata": doc.metadata,
+        }
+        assert text == json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        assert text.isascii() and '"\\u00e9\\u2713"' in text
+        assert serialize_document(parse_document(text)) == text
+        assert parse_document(text).metadata["unknown_fields"] == {"extra": raw["extra"]}
+
+    def test_empty_edge_list_and_metadata(self):
+        doc = parse_document('{"vertices": [{"id": "a"}]}')
+        text = serialize_document(doc)
+        assert text == (
+            '{\n "edges": [],\n "format_version": 1,\n "metadata": {},\n'
+            ' "vertices": [\n  {\n   "c": 0.0,\n   "id": "a"\n  }\n ]\n}\n'
+        )
+
     def test_comb_export_reimports_identically(self):
         fam = make(FamilySpec("comb"))
         ball = fam.build_ball(3)
