@@ -158,6 +158,8 @@ def _parse_assignments(text: str) -> dict[str, float]:
         if "=" not in chunk:
             raise GraphlabError(f"boundary assignment {chunk!r} needs id=value")
         vid, val = chunk.split("=", 1)
+        if vid in out:
+            raise GraphlabError(f"boundary vertex {vid!r} is assigned twice")
         try:
             out[vid] = float(val)
         except ValueError:

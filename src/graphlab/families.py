@@ -7,7 +7,8 @@ verdicts.  One builder, ``_exhaustion``, turns ``ball_at`` into the
 family's ``build_ball``: it memoises every ball, refuses negative levels
 and attaches the measure rule.  Vertex identifiers encode family
 coordinates as strings (tooth ``n``, depth ``k`` becomes ``"n:k"``) so
-examples stay addressable from the command line.
+examples stay addressable from the command line.  Only ``ray_power`` with
+an exponent above 1 imports scipy, for the ζ values of its facts.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from scipy.special import zeta
 
 from .core import Measure, Vertex, VertexFunction, WeightedGraph
 from .errors import FamilyError, ValidationError
@@ -146,6 +146,8 @@ def _make_ray_power(spec: FamilySpec) -> GraphFamily:
 
     facts_kwargs: dict = {"is_tree": True, "locally_finite": True}
     if p > 1:
+        from scipy.special import zeta
+
         total = float(zeta(p))
         facts_kwargs.update(
             d_diameter_bound=total,

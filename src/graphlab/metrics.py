@@ -16,7 +16,9 @@ semiring (Carré, "An algebra for network routing problems", 1971), in
 the pivot order that ``core._PivotOrder`` gives ``core.eliminate`` too,
 and from ``core._sweep``, the reverse sweep that builds the resistance
 table as well, each written by vertex in place: this module gives it
-only the (min, +) row rule.  A single-source table is one Dijkstra run.
+only the (min, +) row rule.  A single-source table is one run of
+scipy's Dijkstra, this module's only use of scipy: it is imported on the
+first such run, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from functools import cached_property
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .core import Measure, Vertex, VertexFunction, WeightedGraph, _PivotOrder, _sweep
 from .errors import GraphlabError, UnknownVertexError, ValidationError
@@ -233,6 +233,13 @@ def _min_plus_table(n: int, ii: np.ndarray, jj: np.ndarray, lens: np.ndarray) ->
     return _sweep(n, terminals, order, stars, row)
 
 
+def dijkstra(*args, **kwargs):
+    """``scipy.sparse.csgraph.dijkstra``, imported on the first call."""
+    from scipy.sparse.csgraph import dijkstra
+
+    return dijkstra(*args, **kwargs)
+
+
 def path_metric(
     g: WeightedGraph,
     length: LengthFunction | None = None,
@@ -253,6 +260,8 @@ def path_metric(
         return PseudometricTable(g.vertices, None, _min_plus_table(g.size, ii, jj, lens))
     if source not in g.index:
         raise UnknownVertexError(repr(source))
+    from scipy.sparse import csr_matrix
+
     mat = csr_matrix(
         (np.concatenate([lens, lens]), (np.concatenate([ii, jj]), np.concatenate([jj, ii]))),
         shape=(g.size, g.size),

@@ -149,9 +149,14 @@ def heat(
     """Heat kernel, total mass under the semigroup and the partial trace.
 
     Kernel entries satisfy (e^{-tL} f)(x) = sum_y p_t(x,y) f(y) m(y).
+    At t = 0 the semigroup is the identity, returned exactly and without
+    an eigensolve: p_0(x,y) = δ(x,y)/m(x), every mass 1, trace n.
     """
     if not 0 <= t < np.inf:
         raise ValidationError(["heat semigroup needs a finite t >= 0"])
+    if t == 0:
+        n = op.size
+        return HeatResult(t, op.vertices, np.diag(1.0 / op.measure), np.ones(n), float(n))
     spec = spec or spectrum(op)
     phi = spec.eigenfunctions
 

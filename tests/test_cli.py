@@ -94,6 +94,35 @@ class TestCommands:
         kinds = {line.split(",")[0] for line in lines[1:]}
         assert {"kernel", "mass", "partial_trace"} <= kinds
 
+    @pytest.mark.parametrize("kind", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("doc", ["comb4", "two_components"])
+    def test_heat_at_zero_time_is_identity(self, doc, kind, tmp_path):
+        if doc == "comb4":
+            assert run(["gen", "--family", "comb", "--levels", "4"], tmp_path, "d.json")[0] == 0
+            boundary = "4:0"
+        else:
+            (tmp_path / "d.json").write_text(_doc_text(
+                vertices=[{"id": v, "c": 0.0, "m": mv} for v, mv in
+                          (("a", 49.0), ("b", 0.3), ("c", 1.0), ("d", 7.0))],
+                edges=[{"u": "a", "v": "b", "b": 3.0}, {"u": "c", "v": "d", "b": 2.0}],
+            ))
+            boundary = "c"
+        argv = ["heat", "--kind", kind, "--t", "0", str(tmp_path / "d.json")]
+        if kind == "dirichlet":
+            argv[-1:-1] = ["--boundary", boundary]
+        code, data = run(argv, tmp_path, "heat.csv")
+        assert code == 0
+        g, m = load_graph(str(tmp_path / "d.json"))
+        m = m.values if m is not None else dict.fromkeys(g.vertices, 1.0)
+        support = [v for v in g.vertices if kind == "neumann" or v != boundary]
+        rows = list(csv.reader(io.StringIO(data.decode())))[1:]
+        kernel = [r for r in rows if r[0] == "kernel"]
+        assert len(kernel) == len(support) * (len(support) + 1) // 2
+        for _, x, y, value in kernel:
+            assert value == (repr(1.0 / m[x]) if x == y else "0.0")
+        assert [r[1:] for r in rows if r[0] == "mass"] == [[v, "", "1.0"] for v in support]
+        assert rows[-1] == ["partial_trace", "", "", repr(float(len(support)))]
+
     def test_dirichlet_csv(self, path_doc, tmp_path):
         code, data = run(
             ["dirichlet", "--boundary", "0=0,2=1", path_doc], tmp_path, "sol.csv"
@@ -208,6 +237,13 @@ class TestExitCodes:
         assert code == 2 and data == b""
         err = capsys.readouterr().err
         assert "metadata [1, 2] is not an object" in err and "u=['a']" in err
+
+    @pytest.mark.parametrize("boundary", ["0=1,0=2,2=0", "0=1, 2=0, 0=1"])
+    def test_repeated_boundary_vertex_is_2(self, boundary, path_doc, tmp_path, capsys):
+        code, data = run(["dirichlet", "--boundary", boundary, path_doc], tmp_path, "d.csv")
+        assert code == 2 and data == b""
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: boundary vertex '0' is assigned twice"]
 
     def test_missing_file_is_2(self, tmp_path):
         assert main(["metric", str(tmp_path / "none.json")]) == 2

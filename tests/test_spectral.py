@@ -191,6 +191,27 @@ class TestHeat:
         with pytest.raises(ValidationError, match="finite t"):
             heat(op, t)
 
+    @pytest.mark.parametrize("kind", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("graph", ["comb4", "two_components"])
+    def test_zero_time_is_identity_without_eigensolve(self, graph, kind, monkeypatch):
+        if graph == "comb4":
+            ball = make(FamilySpec("comb")).build_ball(4)
+            g, m, boundary = ball.graph, Measure.unit(ball.graph), sorted(ball.frontier)
+        else:
+            g = WeightedGraph.build(
+                ("0", "1", "2", "3", "4"), {("0", "1"): 3.0, ("1", "2"): 0.5, ("3", "4"): 2.0}
+            )
+            # 1/49 * 49 rounds below 1, so a mass taken as kernel @ m would miss 1
+            m = Measure.from_mapping({"0": 49.0, "1": 0.3, "2": 1.0, "3": 7.0, "4": 2.5})
+            boundary = ["2"]
+        op = assemble(g, m, kind, boundary if kind == "dirichlet" else ())
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        res = heat(op, 0.0)
+        assert res.t == 0.0 and res.vertices == op.vertices
+        assert np.array_equal(res.kernel, np.diag(1.0 / op.measure))
+        assert np.array_equal(res.mass, np.ones(op.size))
+        assert res.partial_trace == float(op.size)
+
 
 class TestTraceConvergence:
     def test_finite_family_stabilizes(self):
