@@ -15,6 +15,11 @@ is the associated formal Laplacian; dividing by a vertex measure ``m``
 gives its measure-weighted variant.  Everything here is immutable and
 pure, so shared instances are safe to use concurrently.
 
+A graph is its edge arrays: one row (i, j, b) per undirected edge, in
+vertex positions, and the killing term as an array in vertex order.  The
+dicts keyed by vertex (edges, killing term, adjacency, index) are views
+derived from the arrays on first use; the hot paths read the arrays.
+
 Every linear solve of the package reads one routine: ``eliminate``
 records a star–mesh elimination in edge form, with the killing term as
 edges to a heart terminal, whose pivots are sums of positive weights, so
@@ -32,7 +37,7 @@ from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Seq
 from dataclasses import dataclass, field
 from functools import cached_property
 import heapq
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 import math
 
 import numpy as np
@@ -94,17 +99,69 @@ def validate_graph_data(
     return violations
 
 
-@dataclass(frozen=True)
 class WeightedGraph:
-    """Immutable weighted graph with killing term.
+    """Immutable weighted graph with killing term, held as edge arrays.
 
-    Edges are stored once, keyed by the pair ordered by vertex position,
-    so symmetry is structural rather than a runtime promise.
+    ``vertices`` fixes the vertex order.  Edge k joins ``vertices[ii[k]]``
+    and ``vertices[jj[k]]`` with weight ``w[k]``, once per undirected edge,
+    for ``(ii, jj, w) = edge_arrays``; ``killing_array`` holds the killing
+    term in vertex order.  The arrays are read-only and are the graph:
+    ``edges`` (keyed by pair), ``killing``, ``adjacency`` and ``index`` are
+    dict views derived from them on first use, in array order.
+
+    ``WeightedGraph(vertices, edges, killing)`` derives the arrays once from
+    the dicts, in their order, and keeps copies of the dicts as its views;
+    ``from_arrays`` takes the arrays as they are.  Neither checks the data,
+    ``build`` does.
     """
 
     vertices: tuple[Vertex, ...]
-    edges: dict[tuple[Vertex, Vertex], float]
-    killing: dict[Vertex, float]
+    edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray]
+    killing_array: np.ndarray
+
+    def __init__(
+        self,
+        vertices: Iterable[Vertex],
+        edges: Mapping[tuple[Vertex, Vertex], float] | None = None,
+        killing: Mapping[Vertex, float] | None = None,
+        *,
+        arrays: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ):
+        fields = self.__dict__
+        fields["vertices"] = vertices = tuple(vertices)
+        if arrays is None:
+            fields["edges"] = edges = dict(edges)
+            fields["killing"] = killing = dict(killing or {})
+            at, m = self.index, len(edges)
+            arrays = (
+                np.fromiter((at[u] for u, _ in edges), np.intp, m),
+                np.fromiter((at[v] for _, v in edges), np.intp, m),
+                np.fromiter(edges.values(), float, m),
+                np.fromiter(map(killing.get, vertices, repeat(0.0)), float, len(vertices)),
+            )
+        for a in arrays:
+            a.flags.writeable = False
+        ii, jj, w, c = arrays
+        fields["edge_arrays"] = (ii, jj, w)
+        fields["killing_array"] = c
+
+    @classmethod
+    def from_arrays(
+        cls,
+        vertices: Iterable[Vertex],
+        ii: Sequence[int],
+        jj: Sequence[int],
+        w: Sequence[float],
+        killing: Sequence[float] | None = None,
+    ) -> "WeightedGraph":
+        """The graph whose edge k joins vertices ``ii[k]`` and ``jj[k]``
+        (positions in ``vertices``) with weight ``w[k]``, with killing term
+        ``killing`` in vertex order (zero if None).  Arrays of the right
+        dtype are taken over, not copied, and made read-only."""
+        vertices = tuple(vertices)
+        c = np.zeros(len(vertices)) if killing is None else np.asarray(killing, float)
+        arrays = (np.asarray(ii, np.intp), np.asarray(jj, np.intp), np.asarray(w, float), c)
+        return cls(vertices, arrays=arrays)
 
     @classmethod
     def build(
@@ -131,37 +188,42 @@ class WeightedGraph:
         c = {v: float((killing or {}).get(v, 0.0)) for v in vtuple}
         return cls(vtuple, canonical, c)
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", dict(self.edges))
-        object.__setattr__(self, "killing", dict(self.killing))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a WeightedGraph is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightedGraph):
+            return NotImplemented
+        return (self.vertices, self.edges, self.killing) == (other.vertices, other.edges, other.killing)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"WeightedGraph({self.size} vertices, {self.edge_arrays[2].size} edges)"
+
+    @cached_property
+    def edges(self) -> dict[tuple[Vertex, Vertex], float]:
+        ii, jj, w = self.edge_arrays
+        at = self.vertices.__getitem__
+        return dict(zip(zip(map(at, ii.tolist()), map(at, jj.tolist())), w.tolist()))
+
+    @cached_property
+    def killing(self) -> dict[Vertex, float]:
+        return dict(zip(self.vertices, self.killing_array.tolist()))
 
     @cached_property
     def index(self) -> dict[Vertex, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
+        return dict(zip(self.vertices, range(len(self.vertices))))
 
     @cached_property
     def adjacency(self) -> dict[Vertex, dict[Vertex, float]]:
-        adj: dict[Vertex, dict[Vertex, float]] = {v: {} for v in self.vertices}
-        for (u, v), b in self.edges.items():
-            adj[u][v] = b
-            adj[v][u] = b
-        return adj
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Index arrays (i, j, b) with one row per undirected edge."""
-        n = len(self.edges)
-        ii = np.empty(n, dtype=np.intp)
-        jj = np.empty(n, dtype=np.intp)
-        ww = np.empty(n, dtype=float)
-        idx = self.index
-        for k, ((u, v), b) in enumerate(self.edges.items()):
-            ii[k], jj[k], ww[k] = idx[u], idx[v], b
-        return ii, jj, ww
-
-    @cached_property
-    def killing_array(self) -> np.ndarray:
-        return np.array([self.killing[v] for v in self.vertices], dtype=float)
+        vs = self.vertices
+        rows: list[dict[Vertex, float]] = [{} for _ in vs]
+        ii, jj, w = self.edge_arrays
+        for i, j, b in zip(ii.tolist(), jj.tolist(), w.tolist()):
+            rows[i][vs[j]] = b
+            rows[j][vs[i]] = b
+        return dict(zip(vs, rows))
 
     def b(self, x: Vertex, y: Vertex) -> float:
         """Edge weight, 0.0 for non-neighbors."""
@@ -225,7 +287,7 @@ class Measure:
 
     @classmethod
     def unit(cls, g: WeightedGraph) -> "Measure":
-        return cls.from_mapping({v: 1.0 for v in g.vertices})
+        return cls(dict.fromkeys(g.vertices, 1.0), float(g.size))
 
     @classmethod
     def canonical(cls, g: WeightedGraph) -> "Measure":
@@ -402,11 +464,14 @@ class _PivotOrder:
 
     def __init__(self, adj: list[dict[int, float]], done: list[bool]):
         self.adj, self.done, self.moved, self.rest = adj, done, set(), []
-        self.stack = [i for i in range(len(adj) - 1, -1, -1) if not done[i] and len(adj[i]) <= 2]
+        degree = np.fromiter(map(len, adj), np.intp, len(adj))
+        free = ~np.array(done, dtype=bool)
+        self.stack = np.flatnonzero(free & (degree <= 2))[::-1].tolist()
+        high = np.flatnonzero(free & (degree > 2))
+        self.heap = list(zip(degree[high].tolist(), high.tolist()))
 
     def __iter__(self) -> Iterator[int]:
-        adj, done, stack, moved = self.adj, self.done, self.stack, self.moved
-        heap = [(len(adj[i]), i) for i in range(len(adj)) if not done[i] and len(adj[i]) > 2]
+        adj, done, stack, moved, heap = self.adj, self.done, self.stack, self.moved, self.heap
         heapq.heapify(heap)
         left = done.count(False)
         while True:
@@ -484,12 +549,10 @@ def eliminate(
     one numpy block.
     """
     n = g.size
-    idx = g.index
     adj: list[dict[int, float]] = [{} for _ in range(n)]
-    for (x, y), w in g.edges.items():
-        i, j = idx[x], idx[y]
+    for i, j, w in zip(*(a.tolist() for a in g.edge_arrays)):
         adj[i][j] = adj[j][i] = w
-    kill = list(map(g.killing.__getitem__, g.vertices))
+    kill = g.killing_array.tolist()
     if potential is not None:
         kill = [c + p for c, p in zip(kill, potential.tolist())]
     fixed = sorted({int(t) for t in fixed})
@@ -511,6 +574,30 @@ def eliminate(
     for u in rule:
         star = adj[u]
         kappa = kill[u]
+        if len(star) == 2 and not kappa:
+            # a series move, in the same operations as the general step
+            # below: its neighbours are joined by w_a w_b / d, and two fixed
+            # ones are tied to each other by it
+            (a, wa), (b, wb) = star.items()
+            if d := wa + wb:
+                order.append(u)
+                stars.append(star)
+                pivots.append(d)
+                mesh = wa * wb / d
+                if done[a] and done[b]:
+                    tie[a] += mesh
+                    tie[b] += mesh
+                    continue
+                for x, y in ((a, b), (b, a)):
+                    if not done[x]:
+                        near = adj[x]
+                        del near[u]
+                        near[y] = near.get(y, 0.0) + mesh
+                        if len(near) <= 2:
+                            stack.append(x)
+                        else:
+                            moved.add(x)
+                continue
         d = sum(star.values()) + kappa
         if d == 0.0:
             terminals.append(u)

@@ -16,7 +16,10 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import compress
 import math
+
+import numpy as np
 
 from .core import Measure, Vertex, WeightedGraph
 from .errors import ConsistencyError, UnknownVertexError, ValidationError
@@ -56,19 +59,21 @@ def ball(g: WeightedGraph, o: Vertex, n: int) -> tuple[set, set]:
 
 
 def induced_subgraph(g: WeightedGraph, subset: Iterable[Vertex]) -> WeightedGraph:
-    """Restriction of the graph to ``subset``: inside edges and killing only."""
-    sub = list(subset)
-    subset_set = set(sub)
-    if not subset_set <= set(g.vertices):
-        raise ValidationError(["subset contains vertices not in the graph"])
-    order = [v for v in g.vertices if v in subset_set]
-    edges = {
-        (u, v): b
-        for (u, v), b in g.edges.items()
-        if u in subset_set and v in subset_set
-    }
-    killing = {v: g.killing[v] for v in order}
-    return WeightedGraph(tuple(order), edges, killing)
+    """Restriction of the graph to ``subset``: inside edges and killing only,
+    in the graph's vertex and edge order."""
+    at = g.index
+    keep = np.zeros(g.size, dtype=bool)
+    try:
+        keep[[at[v] for v in subset]] = True
+    except KeyError:
+        raise ValidationError(["subset contains vertices not in the graph"]) from None
+    ii, jj, w = g.edge_arrays
+    inside = keep[ii] & keep[jj]
+    position = np.cumsum(keep, dtype=np.intp) - 1
+    return WeightedGraph.from_arrays(
+        compress(g.vertices, keep.tolist()), position[ii[inside]], position[jj[inside]],
+        w[inside], g.killing_array[keep],
+    )
 
 
 #: consecutive increments below tolerance that make a sequence converged
@@ -184,14 +189,27 @@ class GraphFamily:
 
 
 def check_family_consistency(fam: GraphFamily, levels: Sequence[int]) -> None:
-    """Verify the exhaustion invariants on the given levels; raise on failure."""
+    """Verify the ``GraphFamily`` contract on the given levels (each one's
+    frontier against ball ``n``+1); raise ValidationError on failure."""
     levels = sorted(levels)
     for m, n in zip(levels, levels[1:]):
         prev, cur = fam.build_ball(m).graph, fam.build_ball(n).graph
         if not set(prev.vertices) <= set(cur.vertices):
             raise ValidationError([f"{fam.name}: ball {m} is not contained in ball {n}"])
-        if dict(induced_subgraph(cur, prev.vertices).edges) != dict(prev.edges):
+        common = induced_subgraph(cur, prev.vertices)
+        if common.edges != prev.edges:
             raise ValidationError([f"{fam.name}: edge weights disagree between levels {m} and {n}"])
+        if common.killing != prev.killing:
+            raise ValidationError([f"{fam.name}: killing terms disagree between levels {m} and {n}"])
+    for n in levels:
+        here, nxt = fam.build_ball(n), fam.build_ball(n + 1).graph
+        new = set(nxt.vertices) - set(here.graph.vertices)
+        touching = {v for v in here.graph.vertices if not new.isdisjoint(nxt.adjacency[v])}
+        if set(here.frontier) != touching:
+            raise ValidationError([
+                f"{fam.name}: the frontier of level {n} is not the set of its vertices "
+                f"adjacent to the new vertices of level {n + 1}"
+            ])
 
 
 def climb(fam: GraphFamily, levels: Iterable[int], value: Callable[[int, Ball], float | None],
@@ -199,10 +217,11 @@ def climb(fam: GraphFamily, levels: Iterable[int], value: Callable[[int, Ball], 
           ) -> tuple[tuple[int, ...], ConvergenceReport]:
     """Walk the distinct levels upward, recording ``value(n, ball n)``; a
     ``None`` value skips its level.  A step against the declared ``trend``
-    (+1 nondecreasing, -1 nonincreasing) by more than 1e-10 raises
-    ConsistencyError; with ``stop`` the walk ends at the first converged
-    level.  An empty ladder, or one where no level gave a value, raises
-    ValidationError.  Returns the levels that gave a value and their report."""
+    (+1 nondecreasing, -1 nonincreasing) by more than 1e-10, or a value
+    that is not finite, raises ConsistencyError; with ``stop`` the walk
+    ends at the first converged level.  An empty ladder, or one where no
+    level gave a value, raises ValidationError.  Returns the levels that
+    gave a value and their report."""
     _require_tolerance(tolerance)
     if not (levels := sorted(set(levels))):
         raise ValidationError([f"{fam.name}: the level ladder is empty"])
@@ -211,6 +230,8 @@ def climb(fam: GraphFamily, levels: Iterable[int], value: Callable[[int, Ball], 
         if (v := value(n, fam.build_ball(n))) is None:
             continue
         v = float(v)
+        if not math.isfinite(v):
+            raise ConsistencyError(f"{fam.name}: value {v} at level {n} is not finite")
         if values and trend * (v - values[-1]) < -1e-10:
             raise ConsistencyError(f"{fam.name}: value {'rose' if trend < 0 else 'fell'} "
                                    f"from {values[-1]} to {v} at level {n}, against the ladder's trend")

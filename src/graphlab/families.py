@@ -5,9 +5,11 @@ closed-form knowledge that finite computation cannot recover: diameter
 bounds, tail sums, separated sets, and per-condition compactness
 verdicts.  One builder, ``_exhaustion``, turns ``ball_at`` into the
 family's ``build_ball``: it memoises every ball, refuses negative levels
-and attaches the measure rule.  Vertex identifiers encode family
-coordinates as strings (tooth ``n``, depth ``k`` becomes ``"n:k"``) so
-examples stay addressable from the command line.  Only ``ray_power`` with
+and attaches the measure rule.  Balls are built as edge arrays
+(``WeightedGraph.from_arrays``), in a fixed vertex and edge order that
+fixes every pivot of an elimination downstream.  Vertex identifiers
+encode family coordinates as strings (tooth ``n``, depth ``k`` becomes
+``"n:k"``) so examples stay addressable from the command line.  Only ``ray_power`` with
 an exponent above 1 imports scipy, for the ζ values of its facts.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
 import math
 
 import numpy as np
@@ -56,7 +59,7 @@ def _measure_for(
     deeper, so that rule alone calls ``deeper`` for the next ball's graph.
     """
     if spec.measure == "unit":
-        return Measure.from_mapping({v: 1.0 for v in graph.vertices})
+        return Measure.unit(graph)
     if spec.measure == "canonical":
         return Measure.canonical(deeper()).restrict(graph.vertices)
     if spec.measure == "geometric":
@@ -129,13 +132,16 @@ def _hop_balls(g: WeightedGraph, origin: Vertex) -> _BallAt:
     return ball_at
 
 
+def _labels(prefix: str, ks: range) -> map:
+    """The vertex labels ``prefix`` + str(k) for k in ``ks``."""
+    return map(prefix.__add__, map(str, ks))
+
+
 def _ray_graph(p: float, top: int) -> WeightedGraph:
     """Path on vertices "1".."top" with weight k^p on edge (k, k+1)."""
-    vertices = tuple(str(k) for k in range(1, top + 1))
-    edges = {
-        (str(k), str(k + 1)): float(k) ** p for k in range(1, top)
-    }
-    return WeightedGraph(vertices, edges, {v: 0.0 for v in vertices})
+    ii = np.arange(top - 1)
+    w = [float(k) ** p for k in range(1, top)]
+    return WeightedGraph.from_arrays(map(str, range(1, top + 1)), ii, ii + 1, w)
 
 
 def _make_ray_power(spec: FamilySpec) -> GraphFamily:
@@ -184,16 +190,25 @@ def _make_ray_power(spec: FamilySpec) -> GraphFamily:
 
 def _make_comb(spec: FamilySpec) -> GraphFamily:
     def ball_at(r: int) -> tuple[WeightedGraph, frozenset]:
-        vertices = []
-        edges = {}
+        power = [2.0**k for k in range(r + 1)]
+        vertices: list[str] = []
+        ii: list[int] = []
+        jj: list[int] = []
+        w: list[float] = []
         for n in range(r + 1):
-            for k in range(r + 1 - n):
-                vertices.append(f"{n}:{k}")
-                if k >= 1:
-                    edges[(f"{n}:{k - 1}", f"{n}:{k}")] = 2.0**k
+            # tooth n is n:0 .. n:(r-n) from position s, edge (n:(k-1), n:k)
+            # of weight 2^k, then the spine edge ((n-1):0, n:0) of weight 2^n
+            s = len(vertices)
+            vertices += _labels(f"{n}:", range(r + 1 - n))
+            ii += range(s, s + r - n)
+            jj += range(s + 1, s + r + 1 - n)
+            w += power[1 : r + 1 - n]
             if n >= 1:
-                edges[(f"{n - 1}:0", f"{n}:0")] = 2.0**n
-        graph = WeightedGraph(tuple(vertices), edges, {v: 0.0 for v in vertices})
+                ii.append(spine)
+                jj.append(s)
+                w.append(power[n])
+            spine = s
+        graph = WeightedGraph.from_arrays(vertices, ii, jj, w)
         # the tips n:(r-n) of the teeth and of the spine grow at level r+1
         return graph, frozenset(f"{n}:{r - n}" for n in range(r + 1))
 
@@ -215,15 +230,22 @@ def _make_comb(spec: FamilySpec) -> GraphFamily:
 
 def _make_triangle_ladder(spec: FamilySpec) -> GraphFamily:
     def ball_at(L: int) -> tuple[WeightedGraph, frozenset]:
-        vertices = [str(n) for n in range(1, L + 2)]
-        edges = {}
+        # spine vertex n sits at position n - 1, detour n:k at s + k - 1
+        vertices = list(map(str, range(1, L + 2)))
+        ii: list[int] = []
+        jj: list[int] = []
+        w: list[float] = []
         for n in range(1, L + 1):
-            edges[(str(n), str(n + 1))] = n / 2.0
-            for k in range(1, n + 1):
-                vertices.append(f"{n}:{k}")
-                edges[(str(n), f"{n}:{k}")] = float(n)
-                edges[(f"{n}:{k}", str(n + 1))] = float(n)
-        graph = WeightedGraph(tuple(vertices), edges, {v: 0.0 for v in vertices})
+            s = len(vertices)
+            vertices += _labels(f"{n}:", range(1, n + 1))
+            ii.append(n - 1)
+            jj.append(n)
+            w.append(n / 2.0)
+            detours = range(s, s + n)
+            ii += chain.from_iterable(zip(repeat(n - 1), detours))
+            jj += chain.from_iterable(zip(detours, repeat(n)))
+            w += [float(n)] * (2 * n)
+        graph = WeightedGraph.from_arrays(vertices, ii, jj, w)
         return graph, frozenset({str(L + 1)})
 
     facts = AnalyticFacts(
@@ -245,19 +267,24 @@ def _make_triangle_ladder(spec: FamilySpec) -> GraphFamily:
 
 def _make_twin_rays(spec: FamilySpec) -> GraphFamily:
     def ball_at(L: int) -> tuple[WeightedGraph, frozenset]:
-        vertices = []
-        edges = {}
+        vertices: list[str] = []
+        ii: list[int] = []
+        jj: list[int] = []
+        w: list[float] = []
         for n in range(L + 1):
-            for j in range(n + 2):
-                vertices.append(f"{n}:{j}")
-            for j in range(1, n + 2):
-                edges[(f"{n}:0", f"{n}:{j}")] = 1.0
-            for j in range(2, n + 2):
-                edges[(f"{n}:1", f"{n}:{j}")] = 1.0
+            # level n is n:0 .. n:(n+1) from position s: n:0 and n:1 are
+            # joined to the connectors after them, and the rails to level n-1
+            s = len(vertices)
+            vertices += _labels(f"{n}:", range(n + 2))
+            ii += [s] * (n + 1) + [s + 1] * n
+            jj += [*range(s + 1, s + n + 2), *range(s + 2, s + n + 2)]
+            w += [1.0] * (2 * n + 1)
             if n >= 1:
-                edges[(f"{n - 1}:0", f"{n}:0")] = 2.0 ** (n - 1)
-                edges[(f"{n - 1}:1", f"{n}:1")] = 2.0 ** (n - 1)
-        graph = WeightedGraph(tuple(vertices), edges, {v: 0.0 for v in vertices})
+                ii += (rail, rail + 1)
+                jj += (s, s + 1)
+                w += [2.0 ** (n - 1)] * 2
+            rail = s
+        graph = WeightedGraph.from_arrays(vertices, ii, jj, w)
         return graph, frozenset({f"{L}:0", f"{L}:1"})
 
     facts = AnalyticFacts(
@@ -287,11 +314,9 @@ def _make_finite_path(spec: FamilySpec) -> GraphFamily:
 
     def ball_at(n: int) -> tuple[WeightedGraph, frozenset]:
         top = min(n, length)
-        vertices = tuple(str(k) for k in range(top + 1))
-        edges = {
-            (str(k), str(k + 1)): float(weights[k]) for k in range(top)
-        }
-        graph = WeightedGraph(vertices, edges, {v: 0.0 for v in vertices})
+        ii = np.arange(top)
+        w = [float(weights[k]) for k in range(top)]
+        graph = WeightedGraph.from_arrays(map(str, range(top + 1)), ii, ii + 1, w)
         return graph, frozenset() if top == length else frozenset({str(top)})
 
     facts = AnalyticFacts(
@@ -373,11 +398,14 @@ def _make_star_augmented(spec: FamilySpec) -> GraphFamily:
         members, _ = hop_ball(g, base.origin, 1)
         # attach geometric weights to every vertex at hop distance >= 2,
         # in vertex order so levels stay consistent
-        far = [v for v in g.vertices if v not in members]
-        edges = dict(g.edges)
-        for i, y in enumerate(far):
-            edges[(base.origin, y)] = 2.0 ** (-i)
-        graph = WeightedGraph(g.vertices, edges, dict(g.killing))
+        far = np.array([k for k, v in enumerate(g.vertices) if v not in members], np.intp)
+        hub = np.full(far.size, g.index[base.origin], np.intp)
+        ii, jj, w = g.edge_arrays
+        star = [2.0 ** (-i) for i in range(far.size)]
+        graph = WeightedGraph.from_arrays(
+            g.vertices, np.concatenate([ii, hub]), np.concatenate([jj, far]),
+            np.concatenate([w, star]), g.killing_array,
+        )
         # the hub keeps acquiring edges at every level, so it never leaves
         # the frontier
         return graph, inner.frontier | {base.origin}
@@ -432,15 +460,21 @@ def add_killing(fam: GraphFamily, c_fn: Callable[[Vertex], float], name: str | N
     """Wrap a family, adding a killing term to every ball.
 
     Certificates of the base family do not transfer; the wrapped family
-    carries no analytic facts.
+    carries no analytic facts.  A killing term that is not finite and
+    nonnegative raises ValidationError naming its vertex.
     """
 
     @lru_cache(maxsize=None)
     def build(n: int) -> Ball:
         b = fam.build_ball(n)
         g = b.graph
-        killing = {v: float(c_fn(v)) for v in g.vertices}
-        return Ball(WeightedGraph(g.vertices, dict(g.edges), killing), b.frontier, b.measure)
+        killing = [float(c_fn(v)) for v in g.vertices]
+        if bad := [(v, c) for v, c in zip(g.vertices, killing) if not 0.0 <= c < math.inf]:
+            raise ValidationError(
+                [f"killing term at {v!r} must be finite and nonnegative, got {c!r}" for v, c in bad]
+            )
+        graph = WeightedGraph.from_arrays(g.vertices, *g.edge_arrays, killing)
+        return Ball(graph, b.frontier, b.measure)
 
     return GraphFamily(
         name=name or f"{fam.name}+killing",

@@ -1,5 +1,6 @@
 """Energy form, formal Laplacian and the algebraic identities they satisfy."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -311,6 +312,49 @@ class TestEliminate:
         got = path_metric(g).dist
         assert np.array_equal(got, got.T)
         assert_rel(got, dijkstra_table(g), 1e-14)
+
+
+def _record(rec):
+    """Everything an elimination records, as plain lists: order,
+    terminals, each star's items in order, pivots and Schur diagonal."""
+    stars = [list(star.items()) for star in rec.stars]
+    return rec.order.tolist(), rec.terminals.tolist(), stars, list(rec.pivots), rec.schur_diagonal.tolist()
+
+
+def _elimination_corpus():
+    """Seeded graphs on 30 vertices with (graph, fixed, potential): killing
+    terms on two in three, fixed sets of up to four vertices, a potential
+    on every other one, and 200 extra edges on every fourth, which sends
+    them to the dense block."""
+    rng = np.random.default_rng(19)
+    for trial in range(24):
+        g = random_connected_graph(rng, 30, extra_edges=(0, 10, 60, 200)[trial % 4],
+                                   with_killing=bool(trial % 3))
+        fixed = sorted({int(i) for i in rng.integers(0, 30, trial % 5)})
+        potential = rng.uniform(0.0, 1.0, 30) * (rng.random(30) < 0.2) if trial % 2 else None
+        yield g, fixed, potential
+
+
+class TestEliminationRecords:
+    def test_dict_and_array_built_graphs_give_the_same_record(self, monkeypatch):
+        outer = np.outer
+        dense = []
+        monkeypatch.setattr(np, "outer", lambda *a: dense.append(1) or outer(*a))
+        for g, fixed, potential in _elimination_corpus():
+            at = {v: i for i, v in enumerate(g.vertices)}
+            pairs, weights = zip(*g.edges.items())
+            h = WeightedGraph.from_arrays(
+                g.vertices, [at[u] for u, _ in pairs], [at[v] for _, v in pairs],
+                weights, [g.killing[v] for v in g.vertices],
+            )
+            assert _record(eliminate(h, fixed, potential)) == _record(eliminate(g, fixed, potential))
+        assert dense  # the corpus runs the dense block
+
+    def test_records_are_pinned(self):
+        # digest of every record of the corpus as the general star update
+        # alone gives it: the series-move update must match it digit for digit
+        text = repr([_record(eliminate(*case)) for case in _elimination_corpus()])
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "2b5107c40cb8dea1"
 
 
 class TestGroundedFactor:

@@ -1,5 +1,7 @@
 """Balls, frontiers, induced subgraphs and convergence monitoring."""
 
+import math
+
 import pytest
 
 from graphlab.core import Measure, WeightedGraph
@@ -14,7 +16,7 @@ from graphlab.exhaustion import (
     induced_subgraph,
     monitor,
 )
-from graphlab.families import FamilySpec, make
+from graphlab.families import FamilySpec, add_killing, make
 from graphlab.harmonic import capacity
 from graphlab.resistance import free_resistance
 from graphlab.spectral import trace_convergence
@@ -142,8 +144,37 @@ class TestMonitor:
     ids=lambda s: s.name,
 )
 def test_family_exhaustion_consistency(spec):
+    # nesting, weights, killing terms and each frontier against the next level
     fam = make(spec)
-    check_family_consistency(fam, [0, 1, 2, 3, 5, 8])
+    check_family_consistency(fam, range(10))
+
+
+def test_killing_wrapper_keeps_the_family_contract():
+    fam = add_killing(make(FamilySpec("twin_rays")), lambda v: 0.5 if v.endswith(":1") else 0.0)
+    check_family_consistency(fam, range(10))
+
+
+def _broken(fam: GraphFamily, build_ball) -> GraphFamily:
+    return GraphFamily(f"broken {fam.name}", fam.origin, build_ball)
+
+
+def test_consistency_refuses_a_wrong_frontier():
+    comb = make(FamilySpec("comb"))
+
+    def build_ball(n: int) -> Ball:
+        b = comb.build_ball(n)
+        return Ball(b.graph, b.frontier - {f"{n}:0"}, b.measure)
+
+    with pytest.raises(ValidationError, match="the frontier of level 0 is not the set"):
+        check_family_consistency(_broken(comb, build_ball), [0, 1])
+
+
+def test_consistency_refuses_killing_terms_that_change_with_the_level():
+    fam = make(FamilySpec("ray_power", (3.0,)))
+    shifting = {n: add_killing(fam, lambda v, n=n: float(n)) for n in range(3)}
+    broken = _broken(fam, lambda n: shifting[n].build_ball(n))
+    with pytest.raises(ValidationError, match="killing terms disagree between levels 0 and 1"):
+        check_family_consistency(broken, [0, 1])
 
 
 def test_frontier_matches_next_level():
@@ -211,6 +242,12 @@ class TestClimb:
             climb(fam, [0, 1], lambda n, b: float(2 - n), 1e-3, trend=1)
         # no declared trend: the same steps pass
         assert climb(fam, [0, 1], lambda n, b: float(n + 1), 1e-3)[0] == (0, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_value_refused(self, bad):
+        fam = make(FamilySpec("finite_path", (6,)))
+        with pytest.raises(ConsistencyError, match=f"value {bad} at level 2 is not finite"):
+            climb(fam, range(5), lambda n, b: bad if n == 2 else 1.0, 1e-3, trend=-1)
 
     def test_empty_ladder_refused(self):
         fam = make(FamilySpec("comb"))

@@ -1,5 +1,6 @@
 """Family builders: weights, measures, witnesses and counterexample behavior."""
 
+import hashlib
 import math
 
 import pytest
@@ -214,6 +215,40 @@ def test_add_killing_wraps_balls():
     g = fam.build_ball(4).graph
     assert g.killing["2"] == 0.25
     assert fam.facts is None
+
+
+@pytest.mark.parametrize("c, shown", [(math.nan, "nan"), (-0.5, "-0.5")], ids=["nan", "negative"])
+def test_add_killing_refuses_a_bad_killing_term(c, shown):
+    fam = add_killing(make(FamilySpec("ray_power", (3.0,))), lambda v: c)
+    with pytest.raises(ValidationError, match=f"killing term at '1' must be finite and nonnegative, got {shown}"):
+        capacity(fam, levels=[1, 2, 4])
+
+
+# sha256 prefixes of repr((ball.vertices, [(u, v, w) for each edge])) at
+# levels 0, 1, 5 and 12: the vertex and edge order fixes every pivot of an
+# elimination, and with it every output digit
+BALL_DIGESTS = {
+    "ray_power:3": ("1221c3fedab5c042", "d783f225f611fc46", "e79524770bad9086", "7c9ce0819622416c"),
+    "ray_power:0": ("1221c3fedab5c042", "d783f225f611fc46", "260cbce5459bbc2f", "c7f4be7449890098"),
+    "comb": ("f179daebd48a1875", "6a95b2d2cdf5c37f", "954aeac91afa36e5", "0332a7fbcffc5c53"),
+    "triangle_ladder": ("1221c3fedab5c042", "77414deb84e037df", "e56300c422bf1998", "1540da6ee2bb22d7"),
+    "twin_rays": ("b14352e2f7a0634b", "903b08bb48f75226", "426102f6fc8d207e", "fc46969639e7d306"),
+    "finite_path:6": ("5594ee1a56ac91bb", "ca2518663c694537", "85a6363a8189b3ee", "df2546d87ed7952c"),
+    "finite_tree:3": ("fb71cb91fc702326", "824c6ceab49d842b", "c15ed5ff939e60e6", "c15ed5ff939e60e6"),
+    "random_tree:11:20": ("5594ee1a56ac91bb", "8e0d87b7a9406b1e", "ea8047597a73ae90", "ea8047597a73ae90"),
+    "star_augmented:ray_power:3": ("1221c3fedab5c042", "d783f225f611fc46", "237a0474d2f65783", "23d082e6c8d08788"),
+}
+
+
+@pytest.mark.parametrize("text", BALL_DIGESTS)
+def test_ball_vertex_and_edge_order_is_pinned(text):
+    fam = make(parse_family_spec(text))
+    got = []
+    for n in (0, 1, 5, 12):
+        g = fam.build_ball(n).graph
+        edges = [(u, v, w) for (u, v), w in g.edges.items()]
+        got.append(hashlib.sha256(repr((g.vertices, edges)).encode()).hexdigest()[:16])
+    assert tuple(got) == BALL_DIGESTS[text]
 
 
 STOCK_FAMILIES = (
