@@ -110,9 +110,10 @@ class WeightedGraph:
     dict views derived from them on first use, in array order.
 
     ``WeightedGraph(vertices, edges, killing)`` derives the arrays once from
-    the dicts, in their order, and keeps copies of the dicts as its views;
-    ``from_arrays`` takes the arrays as they are.  Neither checks the data,
-    ``build`` does.
+    the dicts, in their order, and keeps a copy of ``edges`` as its edges
+    view; the killing term is zero on vertices ``killing`` leaves out, and
+    its view is derived from the array, as for ``from_arrays``, which takes
+    the arrays as they are.  Neither checks the data, ``build`` does.
     """
 
     vertices: tuple[Vertex, ...]
@@ -131,7 +132,7 @@ class WeightedGraph:
         fields["vertices"] = vertices = tuple(vertices)
         if arrays is None:
             fields["edges"] = edges = dict(edges)
-            fields["killing"] = killing = dict(killing or {})
+            killing = killing or {}
             at, m = self.index, len(edges)
             arrays = (
                 np.fromiter((at[u] for u, _ in edges), np.intp, m),
@@ -464,14 +465,11 @@ class _PivotOrder:
 
     def __init__(self, adj: list[dict[int, float]], done: list[bool]):
         self.adj, self.done, self.moved, self.rest = adj, done, set(), []
-        degree = np.fromiter(map(len, adj), np.intp, len(adj))
-        free = ~np.array(done, dtype=bool)
-        self.stack = np.flatnonzero(free & (degree <= 2))[::-1].tolist()
-        high = np.flatnonzero(free & (degree > 2))
-        self.heap = list(zip(degree[high].tolist(), high.tolist()))
+        self.stack = [i for i in range(len(adj) - 1, -1, -1) if not done[i] and len(adj[i]) <= 2]
 
     def __iter__(self) -> Iterator[int]:
-        adj, done, stack, moved, heap = self.adj, self.done, self.stack, self.moved, self.heap
+        adj, done, stack, moved = self.adj, self.done, self.stack, self.moved
+        heap = [(len(adj[i]), i) for i in range(len(adj)) if not done[i] and len(adj[i]) > 2]
         heapq.heapify(heap)
         left = done.count(False)
         while True:
@@ -577,7 +575,9 @@ def eliminate(
         if len(star) == 2 and not kappa:
             # a series move, in the same operations as the general step
             # below: its neighbours are joined by w_a w_b / d, and two fixed
-            # ones are tied to each other by it
+            # ones are tied to each other by it (most pivots of a family
+            # ball are series moves: every one of ray_power:3 and
+            # triangle_ladder, 95% of comb's)
             (a, wa), (b, wb) = star.items()
             if d := wa + wb:
                 order.append(u)

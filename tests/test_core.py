@@ -64,6 +64,17 @@ class TestValidation:
         g = WeightedGraph.build(["0", "1"], {("0", "1"): 1.0, ("1", "0"): 1.0})
         assert len(g.edges) == 1
 
+    def test_killing_view_agrees_with_the_array(self):
+        # a killing dict that leaves vertices out, or none at all, is zero
+        # there, in the view as in the array
+        vs, e = ("0", "1", "2"), {("0", "1"): 1.0, ("1", "2"): 2.0}
+        for killing in (None, {}, {"1": 0.5}):
+            g = WeightedGraph(vs, e, killing)
+            assert g.killing == dict(zip(vs, g.killing_array.tolist()))
+            assert g.killing["2"] == 0.0
+            h = WeightedGraph.from_arrays(vs, [0, 1], [1, 2], [1.0, 2.0], g.killing_array)
+            assert g == h
+
     def test_validate_constructed_graph(self, path24):
         assert validate_graph(path24) == []
 
