@@ -17,8 +17,10 @@ pure, so shared instances are safe to use concurrently.
 
 A graph is its edge arrays: one row (i, j, b) per undirected edge, in
 vertex positions, and the killing term as an array in vertex order.  The
-dicts keyed by vertex (edges, killing term, adjacency, index) are views
-derived from the arrays on first use; the hot paths read the arrays.
+constructor takes these arrays; ``WeightedGraph.build`` checks dicts keyed
+by vertex and builds the arrays from them.  The dicts (edges, killing
+term, adjacency, index) are views derived from the arrays on first use;
+the hot paths read the arrays.
 
 Every linear solve of the package reads one routine: ``eliminate``
 records a star–mesh elimination in edge form, with the killing term as
@@ -37,7 +39,7 @@ from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Seq
 from dataclasses import dataclass, field
 from functools import cached_property
 import heapq
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 import math
 
 import numpy as np
@@ -102,18 +104,15 @@ def validate_graph_data(
 class WeightedGraph:
     """Immutable weighted graph with killing term, held as edge arrays.
 
-    ``vertices`` fixes the vertex order.  Edge k joins ``vertices[ii[k]]``
-    and ``vertices[jj[k]]`` with weight ``w[k]``, once per undirected edge,
-    for ``(ii, jj, w) = edge_arrays``; ``killing_array`` holds the killing
-    term in vertex order.  The arrays are read-only and are the graph:
-    ``edges`` (keyed by pair), ``killing``, ``adjacency`` and ``index`` are
-    dict views derived from them on first use, in array order.
-
-    ``WeightedGraph(vertices, edges, killing)`` derives the arrays once from
-    the dicts, in their order, and keeps a copy of ``edges`` as its edges
-    view; the killing term is zero on vertices ``killing`` leaves out, and
-    its view is derived from the array, as for ``from_arrays``, which takes
-    the arrays as they are.  Neither checks the data, ``build`` does.
+    ``WeightedGraph(vertices, ii, jj, w, killing)``: ``vertices`` fixes the
+    vertex order; edge k joins ``vertices[ii[k]]`` and ``vertices[jj[k]]``
+    with weight ``w[k]``, once per undirected edge; ``killing`` is the
+    killing term in vertex order (zero if None).  Arrays of the right dtype
+    are taken over, not copied, and made read-only as ``edge_arrays`` and
+    ``killing_array``.  They are the graph: ``edges`` (keyed by pair),
+    ``killing``, ``adjacency`` and ``index`` are dict views derived from
+    them on first use, in array order.  The constructor does not check the
+    data; ``build``, the one entry for dicts keyed by vertex, does.
     """
 
     vertices: tuple[Vertex, ...]
@@ -123,46 +122,19 @@ class WeightedGraph:
     def __init__(
         self,
         vertices: Iterable[Vertex],
-        edges: Mapping[tuple[Vertex, Vertex], float] | None = None,
-        killing: Mapping[Vertex, float] | None = None,
-        *,
-        arrays: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
-    ):
-        fields = self.__dict__
-        fields["vertices"] = vertices = tuple(vertices)
-        if arrays is None:
-            fields["edges"] = edges = dict(edges)
-            killing = killing or {}
-            at, m = self.index, len(edges)
-            arrays = (
-                np.fromiter((at[u] for u, _ in edges), np.intp, m),
-                np.fromiter((at[v] for _, v in edges), np.intp, m),
-                np.fromiter(edges.values(), float, m),
-                np.fromiter(map(killing.get, vertices, repeat(0.0)), float, len(vertices)),
-            )
-        for a in arrays:
-            a.flags.writeable = False
-        ii, jj, w, c = arrays
-        fields["edge_arrays"] = (ii, jj, w)
-        fields["killing_array"] = c
-
-    @classmethod
-    def from_arrays(
-        cls,
-        vertices: Iterable[Vertex],
         ii: Sequence[int],
         jj: Sequence[int],
         w: Sequence[float],
         killing: Sequence[float] | None = None,
-    ) -> "WeightedGraph":
-        """The graph whose edge k joins vertices ``ii[k]`` and ``jj[k]``
-        (positions in ``vertices``) with weight ``w[k]``, with killing term
-        ``killing`` in vertex order (zero if None).  Arrays of the right
-        dtype are taken over, not copied, and made read-only."""
-        vertices = tuple(vertices)
+    ):
+        fields = self.__dict__
+        fields["vertices"] = vertices = tuple(vertices)
         c = np.zeros(len(vertices)) if killing is None else np.asarray(killing, float)
         arrays = (np.asarray(ii, np.intp), np.asarray(jj, np.intp), np.asarray(w, float), c)
-        return cls(vertices, arrays=arrays)
+        for a in arrays:
+            a.flags.writeable = False
+        fields["edge_arrays"] = arrays[:3]
+        fields["killing_array"] = c
 
     @classmethod
     def build(
@@ -171,23 +143,21 @@ class WeightedGraph:
         edges: Mapping[tuple[Vertex, Vertex], float],
         killing: Mapping[Vertex, float] | None = None,
     ) -> "WeightedGraph":
-        """Validate raw data and construct the canonical representation.
+        """Validate raw data and construct the canonical representation:
+        each edge oriented from the endpoint placed first in ``vertices``,
+        in the order of its first orientation in ``edges``.
 
         Raises ValidationError listing every violation if the data does
         not describe a weighted graph.
         """
-        violations = validate_graph_data(vertices, edges, killing)
-        if violations:
+        vertices = tuple(vertices)
+        if violations := validate_graph_data(vertices, edges, killing):
             raise ValidationError(violations)
-        vtuple = tuple(vertices)
-        order = {v: i for i, v in enumerate(vtuple)}
-        canonical: dict[tuple[Vertex, Vertex], float] = {}
-        for (u, v), b in edges.items():
-            if order[u] > order[v]:
-                u, v = v, u
-            canonical[(u, v)] = float(b)
-        c = {v: float((killing or {}).get(v, 0.0)) for v in vtuple}
-        return cls(vtuple, canonical, c)
+        at = dict(zip(vertices, range(len(vertices))))
+        pairs = {tuple(sorted((at[u], at[v]))): b for (u, v), b in edges.items()}
+        ii, jj = np.array(list(pairs), np.intp).reshape(-1, 2).T
+        c = [killing.get(v, 0.0) for v in vertices] if killing else None
+        return cls(vertices, ii, jj, list(pairs.values()), c)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: a WeightedGraph is immutable")
@@ -238,7 +208,7 @@ class WeightedGraph:
         return len(self.vertices)
 
     def has_killing(self) -> bool:
-        return any(cx > 0 for cx in self.killing.values())
+        return bool((self.killing_array > 0).any())
 
     @cached_property
     def components(self) -> tuple[frozenset, ...]:

@@ -156,7 +156,10 @@ def parse_document(text: str) -> GraphDocument:
     if violations:
         raise ValidationError(violations)
     vertices = tuple(sorted(killing))
-    g = WeightedGraph(vertices, dict(sorted(edges.items())), {v: killing[v] for v in vertices})
+    at = dict(zip(vertices, range(len(vertices))))
+    pairs = sorted(edges)  # by ordered ids, so by positions too
+    g = WeightedGraph(vertices, [at[u] for u, _ in pairs], [at[v] for _, v in pairs],
+                      list(map(edges.__getitem__, pairs)), list(map(killing.__getitem__, vertices)))
     m = None
     if len(mass) == len(vertices):
         values = {v: mass[v] for v in vertices}
@@ -193,15 +196,16 @@ def serialize_document(doc: GraphDocument) -> str:
     so here the C encoder writes the scalars and the layout is filled in
     around them."""
     g, m = doc.graph, doc.measure
-    order = sorted(g.vertices, key=str)
-    vertices = {"c": [float(g.killing[v]) for v in order], "id": [str(v) for v in order]}
+    ids = list(map(str, g.vertices))
+    order = sorted(range(g.size), key=ids.__getitem__)
+    vertices = {"c": g.killing_array[order].tolist(), "id": [ids[k] for k in order]}
     if m is not None:
-        vertices["m"] = [float(m[v]) for v in order]
-    edges = []
-    for (u, v), b in g.edges.items():
-        su, sv = str(u), str(v)
-        edges.append((su, sv, float(b)) if su < sv else (sv, su, float(b)))
-    edges.sort()
+        vertices["m"] = [float(m[g.vertices[k]]) for k in order]
+    ii, jj, w = g.edge_arrays
+    edges = sorted(
+        (ids[i], ids[j], b) if ids[i] < ids[j] else (ids[j], ids[i], b)
+        for i, j, b in zip(ii.tolist(), jj.tolist(), w.tolist())
+    )
     us, vs, bs = zip(*edges) if edges else ((), (), ())
     # metadata sits one level deep; no JSON string holds a raw newline
     metadata = json.dumps(doc.metadata, sort_keys=True, indent=1).replace("\n", "\n ")

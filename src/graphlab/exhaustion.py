@@ -70,7 +70,7 @@ def induced_subgraph(g: WeightedGraph, subset: Iterable[Vertex]) -> WeightedGrap
     ii, jj, w = g.edge_arrays
     inside = keep[ii] & keep[jj]
     position = np.cumsum(keep, dtype=np.intp) - 1
-    return WeightedGraph.from_arrays(
+    return WeightedGraph(
         compress(g.vertices, keep.tolist()), position[ii[inside]], position[jj[inside]],
         w[inside], g.killing_array[keep],
     )

@@ -5,8 +5,9 @@ closed-form knowledge that finite computation cannot recover: diameter
 bounds, tail sums, separated sets, and per-condition compactness
 verdicts.  One builder, ``_exhaustion``, turns ``ball_at`` into the
 family's ``build_ball``: it memoises every ball, refuses negative levels
-and attaches the measure rule.  Balls are built as edge arrays
-(``WeightedGraph.from_arrays``), in a fixed vertex and edge order that
+and balls whose weights are not all finite and positive, and attaches
+the measure rule.  Balls are built as edge arrays (the
+``WeightedGraph`` constructor), in a fixed vertex and edge order that
 fixes every pivot of an elimination downstream.  Vertex identifiers
 encode family coordinates as strings (tooth ``n``, depth ``k`` becomes
 ``"n:k"``) so examples stay addressable from the command line.  Only ``ray_power`` with
@@ -107,7 +108,8 @@ def _exhaustion(
     """A family whose ball ``n`` is ``ball_at(n)`` with the spec's measure.
 
     Every ``(graph, frontier)`` is built once; ball ``n``+1's graph is read
-    only when the measure rule needs it.
+    only when the measure rule needs it.  A ball with a weight that is not
+    finite and positive raises FamilyError naming one such edge.
     """
     ball_at = lru_cache(maxsize=None)(ball_at)
 
@@ -116,6 +118,11 @@ def _exhaustion(
         if n < 0:
             raise ValidationError([f"exhaustion level must be nonnegative, got {n}"])
         graph, frontier = ball_at(n)
+        ii, jj, w = graph.edge_arrays
+        if bad := np.flatnonzero(~((0 < w) & (w < math.inf))).tolist():
+            k, vs = bad[0], graph.vertices
+            raise FamilyError(f"{name} ball {n}: edge ({vs[ii[k]]!r},{vs[jj[k]]!r}) has weight "
+                              f"{w[k]}, but family weights must be finite and positive")
         m = _measure_for(spec, graph, origin, lambda: ball_at(n + 1)[0])
         return Ball(graph, frontier, m)
 
@@ -140,8 +147,12 @@ def _labels(prefix: str, ks: range) -> map:
 def _ray_graph(p: float, top: int) -> WeightedGraph:
     """Path on vertices "1".."top" with weight k^p on edge (k, k+1)."""
     ii = np.arange(top - 1)
-    w = [float(k) ** p for k in range(1, top)]
-    return WeightedGraph.from_arrays(map(str, range(1, top + 1)), ii, ii + 1, w)
+    try:
+        w = [float(k) ** p for k in range(1, top)]
+    except OverflowError:  # k^p is past float range: build_ball refuses the inf weight
+        with np.errstate(over="ignore"):
+            w = np.arange(1.0, top) ** p
+    return WeightedGraph(map(str, range(1, top + 1)), ii, ii + 1, w)
 
 
 def _make_ray_power(spec: FamilySpec) -> GraphFamily:
@@ -208,7 +219,7 @@ def _make_comb(spec: FamilySpec) -> GraphFamily:
                 jj.append(s)
                 w.append(power[n])
             spine = s
-        graph = WeightedGraph.from_arrays(vertices, ii, jj, w)
+        graph = WeightedGraph(vertices, ii, jj, w)
         # the tips n:(r-n) of the teeth and of the spine grow at level r+1
         return graph, frozenset(f"{n}:{r - n}" for n in range(r + 1))
 
@@ -245,7 +256,7 @@ def _make_triangle_ladder(spec: FamilySpec) -> GraphFamily:
             ii += chain.from_iterable(zip(repeat(n - 1), detours))
             jj += chain.from_iterable(zip(detours, repeat(n)))
             w += [float(n)] * (2 * n)
-        graph = WeightedGraph.from_arrays(vertices, ii, jj, w)
+        graph = WeightedGraph(vertices, ii, jj, w)
         return graph, frozenset({str(L + 1)})
 
     facts = AnalyticFacts(
@@ -284,7 +295,7 @@ def _make_twin_rays(spec: FamilySpec) -> GraphFamily:
                 jj += (s, s + 1)
                 w += [2.0 ** (n - 1)] * 2
             rail = s
-        graph = WeightedGraph.from_arrays(vertices, ii, jj, w)
+        graph = WeightedGraph(vertices, ii, jj, w)
         return graph, frozenset({f"{L}:0", f"{L}:1"})
 
     facts = AnalyticFacts(
@@ -316,7 +327,7 @@ def _make_finite_path(spec: FamilySpec) -> GraphFamily:
         top = min(n, length)
         ii = np.arange(top)
         w = [float(weights[k]) for k in range(top)]
-        graph = WeightedGraph.from_arrays(map(str, range(top + 1)), ii, ii + 1, w)
+        graph = WeightedGraph(map(str, range(top + 1)), ii, ii + 1, w)
         return graph, frozenset() if top == length else frozenset({str(top)})
 
     facts = AnalyticFacts(
@@ -338,19 +349,19 @@ def _make_finite_tree(spec: FamilySpec) -> GraphFamily:
     depth = _integer(spec, 0, "depth", 0)
     branching = _integer(spec, 1, "branching", 1, default=2)
     weight = _real(spec, 2, "weight", positive=True, default=1.0)
+    # vertex k >= 1 is a child of vertex ii[k - 1], made in breadth-first order
     vertices = ["r"]
-    edges = {}
-    frontier_labels = ["r"]
+    ii: list[int] = []
+    level = [0]
     for _ in range(depth):
         nxt = []
-        for parent in frontier_labels:
+        for parent in level:
             for c in range(branching):
-                child = parent + str(c)
-                vertices.append(child)
-                edges[(parent, child)] = weight
-                nxt.append(child)
-        frontier_labels = nxt
-    full = WeightedGraph(tuple(vertices), edges, {v: 0.0 for v in vertices})
+                ii.append(parent)
+                nxt.append(len(vertices))
+                vertices.append(vertices[parent] + str(c))
+        level = nxt
+    full = WeightedGraph(vertices, ii, np.arange(1, len(vertices)), [weight] * len(ii))
 
     facts = AnalyticFacts(
         is_tree=True,
@@ -363,13 +374,13 @@ def _make_random_tree(spec: FamilySpec) -> GraphFamily:
     seed = _integer(spec, 0, "seed", 0)
     size = _integer(spec, 1, "size", 1, default=32)
     rng = np.random.default_rng(seed)
-    vertices = tuple(str(k) for k in range(size))
-    edges = {}
+    # vertex k >= 1 hangs from parents[k - 1] with weight w[k - 1]
+    parents: list[int] = []
+    w: list[float] = []
     for k in range(1, size):
-        parent = int(rng.integers(0, k))
-        w = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
-        edges[(str(parent), str(k))] = w
-    full = WeightedGraph(vertices, edges, {v: 0.0 for v in vertices})
+        parents.append(int(rng.integers(0, k)))
+        w.append(float(np.exp(rng.uniform(np.log(0.25), np.log(4.0)))))
+    full = WeightedGraph(map(str, range(size)), parents, np.arange(1, size), w)
 
     facts = AnalyticFacts(
         is_tree=True,
@@ -402,7 +413,7 @@ def _make_star_augmented(spec: FamilySpec) -> GraphFamily:
         hub = np.full(far.size, g.index[base.origin], np.intp)
         ii, jj, w = g.edge_arrays
         star = [2.0 ** (-i) for i in range(far.size)]
-        graph = WeightedGraph.from_arrays(
+        graph = WeightedGraph(
             g.vertices, np.concatenate([ii, hub]), np.concatenate([jj, far]),
             np.concatenate([w, star]), g.killing_array,
         )
@@ -473,7 +484,7 @@ def add_killing(fam: GraphFamily, c_fn: Callable[[Vertex], float], name: str | N
             raise ValidationError(
                 [f"killing term at {v!r} must be finite and nonnegative, got {c!r}" for v, c in bad]
             )
-        graph = WeightedGraph.from_arrays(g.vertices, *g.edge_arrays, killing)
+        graph = WeightedGraph(g.vertices, *g.edge_arrays, killing)
         return Ball(graph, b.frontier, b.measure)
 
     return GraphFamily(

@@ -163,21 +163,26 @@ def capacity(
     """Grounded-frontier capacities along the exhaustion.
 
     Level n solves the problem "1 at the origin, 0 on the frontier" on
-    ball n and records the energy.  The sequence is nonincreasing; a
-    converged limit at most ``CAPACITY_THRESHOLD`` reads as recurrent,
-    above it as transient.
+    ball n and records the energy.  A level whose frontier holds the
+    origin gives no value; when every level's does, ValidationError.  The
+    sequence is nonincreasing; a converged limit at most
+    ``CAPACITY_THRESHOLD`` reads as recurrent, above it as transient.
     """
     o = fam.origin if o is None else o
+    ladder = sorted(set(default_level_ladder(64) if levels is None else levels))
+    gave = []
 
     def grounded(n: int, b: Ball) -> float | None:
         if o not in b.graph.index:
             raise ValidationError([f"origin {o!r} missing from ball {n}"])
-        ground = [v for v in b.frontier if v != o]
-        if not ground and o in b.frontier:
-            return None  # ball too small to separate the origin from its frontier
-        return capacity_to_set(b.graph, o, ground) if ground else 0.0
+        if o in b.frontier:  # the ball does not separate the origin from the rest
+            if n == ladder[-1] and not gave:
+                raise ValidationError([f"{fam.name}: the origin {o!r} stays in the frontier "
+                                       "at every level, so no capacity grounds it"])
+            return None
+        gave.append(n)
+        return capacity_to_set(b.graph, o, list(b.frontier)) if b.frontier else 0.0
 
-    ladder = default_level_ladder(64) if levels is None else levels
     used, report = climb(fam, ladder, grounded, tolerance, trend=-1)
     verdict = _classify_limit(report, CAPACITY_THRESHOLD, "recurrent", "transient")
     return CapacitySequence(o, used, report.values, report, verdict, CAPACITY_THRESHOLD)

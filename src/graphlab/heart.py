@@ -16,6 +16,8 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 import math
 
+import numpy as np
+
 from .core import Vertex, VertexFunction, WeightedGraph, energy
 from .errors import ValidationError
 from .exhaustion import Ball, ConvergenceReport, GraphFamily, climb
@@ -48,14 +50,12 @@ def reduce(g: WeightedGraph) -> HeartGraph:
         raise ValidationError([f"reserved vertex id {HEART!r} already present"])
     if not g.has_killing():
         raise ValidationError(["nothing to reduce: killing term vanishes"])
-    edges = dict(g.edges)
-    for v in g.vertices:
-        cv = g.killing[v]
-        if cv > 0:
-            edges[(v, HEART)] = cv
-    vertices = g.vertices + (HEART,)
-    killing = {v: 0.0 for v in vertices}
-    return HeartGraph(g, WeightedGraph(vertices, edges, killing))
+    (ii, jj, w), c = g.edge_arrays, g.killing_array
+    killed = np.flatnonzero(c > 0)
+    heart = np.full(killed.size, g.size, np.intp)
+    augmented = WeightedGraph(g.vertices + (HEART,), np.concatenate([ii, killed]),
+                              np.concatenate([jj, heart]), np.concatenate([w, c[killed]]))
+    return HeartGraph(g, augmented)
 
 
 def extend_by_zero(hg: HeartGraph, f: VertexFunction) -> VertexFunction:
@@ -140,12 +140,9 @@ def harmonic_component_exhaustion(
 def _killing_path_metric(g: WeightedGraph):
     """Path metric with edge length 1/c(u)+1/c(v), restricted to the edges
     whose endpoints both carry killing term."""
-    usable = {
-        (u, v): b
-        for (u, v), b in g.edges.items()
-        if g.killing[u] > 0 and g.killing[v] > 0
-    }
-    sub = WeightedGraph(g.vertices, usable, dict(g.killing))
+    (ii, jj, w), c = g.edge_arrays, g.killing_array
+    usable = (c[ii] > 0) & (c[jj] > 0)
+    sub = WeightedGraph(g.vertices, ii[usable], jj[usable], w[usable], c)
     return path_metric(sub, LengthFunction.killing())
 
 

@@ -52,8 +52,8 @@ class LengthFunction:
 
     @classmethod
     def inverse_b_pow(cls, s: float) -> "LengthFunction":
-        if s <= 0:
-            raise ValidationError(["length exponent must be positive"])
+        if not 0 < s < math.inf:
+            raise ValidationError(["length exponent must be positive and finite"])
         return cls(f"inverse_b_pow({s})", lambda g, x, y, b: b ** (-s))
 
     @classmethod
@@ -157,9 +157,14 @@ class PseudometricTable:
 
 def _edge_lengths(g: WeightedGraph, length: LengthFunction) -> np.ndarray:
     """Each edge's length, one evaluation per edge, in ``g.edge_arrays`` order."""
+    ii, jj, w = g.edge_arrays
     lens = []
-    for (u, v), b in g.edges.items():
-        lv = length.fn(g, u, v, b)
+    for i, j, b in zip(ii.tolist(), jj.tolist(), w.tolist()):
+        u, v = g.vertices[i], g.vertices[j]
+        try:
+            lv = length.fn(g, u, v, b)
+        except OverflowError:
+            raise ValidationError([f"length on edge ({u!r},{v!r}) overflows"]) from None
         if not lv >= 0:
             kind = "negative" if lv < 0 else "undefined"
             raise ValidationError([f"{kind} length on edge ({u!r},{v!r})"])

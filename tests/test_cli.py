@@ -373,10 +373,23 @@ class TestExitCodes:
              "the unit measure rule takes no parameter, got 7.0"),
             (["gen", "--family", "comb", "--levels", "3", "--measure", "canonical:0.5"],
              "the canonical measure rule takes no parameter, got 0.5"),
+            (["gen", "--family", "ray_power:400", "--levels", "12"],
+             "ray_power(400) ball 12: edge ('6','7') has weight inf, "
+             "but family weights must be finite and positive"),
+            (["capacity", "--family", "ray_power:-400", "--levels", "40"],
+             "ray_power(-400) ball 8: edge ('7','8') has weight 0.0, "
+             "but family weights must be finite and positive"),
+            (["metric", "--length", "inverse_b_pow", "--power", "inf", "DOC"],
+             "length exponent must be positive and finite"),
+            (["capacity", "--family", "star_augmented"],
+             "star_augmented[ray_power(3)]: the origin '1' stays in the frontier "
+             "at every level, so no capacity grounds it"),
         ],
         ids=["dirichlet_nan", "dirichlet_inf", "capacity_nan", "capacity_inf", "diagnose_nan",
              "diagnose_zero", "origin_in_ground", "capacity_empty_ladder", "heat_overflow",
-             "heat_probe_overflow", "unit_measure_param", "canonical_measure_param"],
+             "heat_probe_overflow", "unit_measure_param", "canonical_measure_param",
+             "family_weight_inf", "family_weight_zero", "length_exponent_inf",
+             "origin_in_every_frontier"],
     )
     @pytest.mark.filterwarnings("error")
     def test_refused_value_is_2(self, argv, message, comb_doc, tmp_path, capsys):
@@ -384,6 +397,13 @@ class TestExitCodes:
         code, data = run(argv, tmp_path, "out")
         assert code == 2 and data == b""
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_length_past_float_range_is_2(self, tmp_path, capsys):
+        assert run(["gen", "--family", "ray_power:-3", "--levels", "3"], tmp_path, "ray.json")[0] == 0
+        argv = ["metric", "--length", "inverse_b_pow", "--power", "400", str(tmp_path / "ray.json")]
+        code, data = run(argv, tmp_path, "d.csv")
+        assert code == 2 and data == b""
+        assert capsys.readouterr().err.splitlines() == ["error: length on edge ('2','3') overflows"]
 
     def test_diagnose_probes_ball_zero(self, tmp_path):
         # unlike an empty capacity ladder, level 0 is a valid probe

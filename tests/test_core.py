@@ -69,10 +69,10 @@ class TestValidation:
         # there, in the view as in the array
         vs, e = ("0", "1", "2"), {("0", "1"): 1.0, ("1", "2"): 2.0}
         for killing in (None, {}, {"1": 0.5}):
-            g = WeightedGraph(vs, e, killing)
+            g = WeightedGraph.build(vs, e, killing)
             assert g.killing == dict(zip(vs, g.killing_array.tolist()))
             assert g.killing["2"] == 0.0
-            h = WeightedGraph.from_arrays(vs, [0, 1], [1, 2], [1.0, 2.0], g.killing_array)
+            h = WeightedGraph(vs, [0, 1], [1, 2], [1.0, 2.0], g.killing_array)
             assert g == h
 
     def test_validate_constructed_graph(self, path24):
@@ -354,7 +354,7 @@ class TestEliminationRecords:
         for g, fixed, potential in _elimination_corpus():
             at = {v: i for i, v in enumerate(g.vertices)}
             pairs, weights = zip(*g.edges.items())
-            h = WeightedGraph.from_arrays(
+            h = WeightedGraph(
                 g.vertices, [at[u] for u, _ in pairs], [at[v] for _, v in pairs],
                 weights, [g.killing[v] for v in g.vertices],
             )

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from graphlab.cli import main
+from graphlab.core import WeightedGraph
 from graphlab.document import (
     document_from_graph,
     graph_from_document,
@@ -206,3 +208,23 @@ def test_gen_text_round_trips_where_string_order_flips_edges(family, measure, tm
     assert g.killing == {str(v): c for v, c in ball.graph.killing.items()}
     assert m.values == {str(v): x for v, x in ball.measure.values.items()}
     assert m.total == ball.measure.total
+
+
+def test_parse_gives_the_arrays_of_build_on_the_same_rows(rng):
+    # ids 0..n-1 with n > 10, so "10" sorts before "2": positions follow the
+    # string order, not the numeric one; rows come shuffled
+    for trial in range(30):
+        g = random_connected_graph(rng, int(rng.integers(11, 40)), with_killing=bool(trial % 2))
+        vrows = [{"id": v, "c": c} for v, c in g.killing.items()]
+        erows = [{"u": min(u, v), "v": max(u, v), "b": b} for (u, v), b in g.edges.items()]
+        doc = {
+            "format_version": 1,
+            "vertices": [vrows[k] for k in rng.permutation(len(vrows))],
+            "edges": [erows[k] for k in rng.permutation(len(erows))],
+        }
+        got = parse_document(json.dumps(doc)).graph
+        edges = dict(sorted(((r["u"], r["v"]), r["b"]) for r in erows))
+        want = WeightedGraph.build(sorted(g.vertices), edges, g.killing)
+        assert got.vertices == want.vertices != tuple(sorted(g.vertices, key=int))
+        for a, b in zip((*got.edge_arrays, got.killing_array), (*want.edge_arrays, want.killing_array)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -205,7 +205,7 @@ def unnested_family() -> GraphFamily:
         vertices = tuple(str(k) for k in range(1, n + 2))
         weight = 4.0 if n % 2 else 1.0
         edges = {(str(k), str(k + 1)): weight for k in range(1, n + 1)}
-        g = WeightedGraph(vertices, edges, {v: 0.0 for v in vertices})
+        g = WeightedGraph.build(vertices, edges, {v: 0.0 for v in vertices})
         return Ball(g, frozenset({str(n + 1)}), Measure.unit(g))
 
     return GraphFamily("unnested", "1", build_ball)

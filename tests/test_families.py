@@ -224,6 +224,24 @@ def test_add_killing_refuses_a_bad_killing_term(c, shown):
         capacity(fam, levels=[1, 2, 4])
 
 
+@pytest.mark.parametrize(
+    "p, level, edge, weight",
+    [(400.0, 6, "('6','7')", "inf"), (-400.0, 7, "('7','8')", "0.0")],
+    ids=["past_float_range", "rounds_to_zero"],
+)
+@pytest.mark.filterwarnings("error")
+def test_family_weights_must_be_finite_and_positive(p, level, edge, weight):
+    # 6^400 is past float range and 7^-400 rounds to 0
+    fam = make(FamilySpec("ray_power", (p,)))
+    fam.build_ball(level - 1)
+    with pytest.raises(FamilyError) as err:
+        fam.build_ball(level)
+    assert str(err.value) == (
+        f"ray_power({p:g}) ball {level}: edge {edge} has weight {weight}, "
+        "but family weights must be finite and positive"
+    )
+
+
 # sha256 prefixes of repr((ball.vertices, [(u, v, w) for each edge])) at
 # levels 0, 1, 5 and 12: the vertex and edge order fixes every pivot of an
 # elimination, and with it every output digit

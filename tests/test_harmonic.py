@@ -191,6 +191,16 @@ class TestCapacity:
         assert abs(seq.values[-1] - expected) <= 1e-3
         assert seq.verdict == "transient"
 
+    def test_origin_in_every_frontier_is_refused(self):
+        # the star's hub is the origin and gains an edge at every level
+        fam = make(FamilySpec("star_augmented"))
+        with pytest.raises(ValidationError) as err:
+            capacity(fam, levels=range(1, 10))
+        assert err.value.violations == [
+            "star_augmented[ray_power(3)]: the origin '1' stays in the frontier "
+            "at every level, so no capacity grounds it"
+        ]
+
     def test_finite_two_set_value(self, path24):
         cap = capacity_to_set(path24, "0", ["2"])
         assert_close(cap, 1.0 / 0.75, tol=1e-12)

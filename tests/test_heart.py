@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from graphlab.core import VertexFunction, WeightedGraph, energy
@@ -41,6 +42,17 @@ class TestReduce:
         g = WeightedGraph.build(("0", HEART), {("0", HEART): 1.0}, {"0": 1.0})
         with pytest.raises(ValidationError, match="reserved"):
             reduce(g)
+
+    def test_augmented_arrays_are_those_of_build(self, rng):
+        for _ in range(20):
+            g = random_connected_graph(rng, int(rng.integers(2, 30)), with_killing=True)
+            got = reduce(g).augmented
+            edges = dict(g.edges)
+            edges.update({(v, HEART): c for v, c in g.killing.items() if c > 0})
+            want = WeightedGraph.build(g.vertices + (HEART,), edges)
+            assert got.vertices == want.vertices
+            for a, b in zip((*got.edge_arrays, got.killing_array), (*want.edge_arrays, want.killing_array)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_extension_energy_identity(self, two_vertex):
         hg = reduce(two_vertex)

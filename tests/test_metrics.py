@@ -119,6 +119,19 @@ def _oracle_corpus(seed: int, count: int):
         yield g, length
 
 
+class TestLengthExponent:
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.inf, math.nan])
+    def test_exponent_must_be_positive_and_finite(self, s):
+        with pytest.raises(ValidationError, match="length exponent must be positive and finite"):
+            LengthFunction.inverse_b_pow(s)
+
+    def test_length_past_float_range_names_its_edge(self):
+        g = path_graph([1.0, 0.125])  # 0.125^-400 = 8^400
+        with pytest.raises(ValidationError) as err:
+            path_metric(g, LengthFunction.inverse_b_pow(400.0))
+        assert err.value.violations == ["length on edge ('1','2') overflows"]
+
+
 class TestAllPairsElimination:
     """The all-pairs table from the (min, +) elimination and its sweep."""
 
