@@ -295,9 +295,13 @@ def cmd_dirichlet(args) -> int:
 
 def cmd_capacity(args) -> int:
     if args.family:
+        if args.ground or args.graph:
+            raise GraphlabError("capacity --family grounds each ball's frontier and reads no "
+                                "--ground or graph document")
         fam = make(_family_from_args(args))
         seq = capacity(
             fam,
+            args.origin,
             levels=default_level_ladder(args.levels),
             tolerance=args.tolerance,
         )

@@ -23,11 +23,12 @@ term, adjacency, index) are views derived from the arrays on first use;
 the hot paths read the arrays.
 
 Every linear solve of the package reads one routine: ``eliminate``
-records a star–mesh elimination in edge form, with the killing term as
-edges to a heart terminal, whose pivots are sums of positive weights, so
-no digit cancels.  ``GroundedFactor`` solves by substitution over that
-record; the all-pairs resistance table and Schur-complement capacities
-read it too.  ``_sweep`` is the one reverse sweep that reads an
+records a star–mesh elimination in edge form, with the killing term and
+the vertices held at 0 as one heart terminal and the vertices held at
+each nonzero value as one terminal, whose pivots are sums of positive
+weights, so no digit cancels.  ``GroundedFactor`` solves by substitution
+over that record; the all-pairs resistance table and capacities read it
+too.  ``_sweep`` is the one reverse sweep that reads an
 elimination record into an all-pairs table, written by vertex in place:
 the resistance table from this one, the path-metric table from the
 (min, +) one in ``metrics``.
@@ -401,18 +402,18 @@ class Elimination:
     Index n (the graph's size) is the heart: killing term is an edge to it.
     Step k removed ``order[k]``; ``stars[k]`` maps its neighbours then (each
     eliminated later or a terminal) to their weights, with sum ``pivots[k]``.
-    ``terminals`` were never eliminated: the heart (if there is killing
-    term), the fixed vertices in index order, then the last vertex of each
-    component with no killing term and no fixed vertex (its pivot is zero).
-    ``schur_diagonal`` gives each terminal's total edge weight in the Schur
-    complement onto the terminals.
+    ``terminals`` were never eliminated: the heart (if any weight reaches
+    it), the first vertex held at each nonzero value in index order (the
+    terminal of all held at that value), then the last vertex of each
+    component with no killing term and no held vertex (its pivot is zero).
+    ``grounding`` gives each held terminal's final weight to the heart.
     """
 
     order: np.ndarray
     terminals: np.ndarray
     stars: list[dict[int, float]] = field(repr=False)
     pivots: list[float] = field(repr=False)
-    schur_diagonal: np.ndarray
+    grounding: np.ndarray
 
 
 class _PivotOrder:
@@ -427,7 +428,7 @@ class _PivotOrder:
     vertices left by (degree, index), to go as one numpy block.
 
     ``adj[i]`` maps vertex i's neighbours to their weights or lengths; the
-    fixed vertices come ``done``, and no list holds the heart, so neither
+    held vertices come ``done``, and no list holds the heart, so neither
     is yielded.  Each pivot is yielded marked done.  The caller updates its
     neighbours, and puts each on ``stack`` if its degree is then at most
     two, else into ``moved``, which feeds the heap once the stack runs dry.
@@ -503,35 +504,48 @@ def _sweep(
 
 def eliminate(
     g: WeightedGraph,
-    fixed: Iterable[int] = (),
+    held: Mapping[int, float] = {},
     potential: np.ndarray | None = None,
 ) -> Elimination:
-    """Eliminate every vertex but the ``fixed`` ones by the star–mesh
-    transform (Kron reduction), with ``potential`` added to the killing term.
+    """Eliminate every vertex not ``held`` by the star–mesh transform (Kron
+    reduction), with ``potential`` added to the killing term.
 
-    Removing u with neighbour weights w_a and pivot d joins each pair of
-    its neighbours by an edge of weight w_a w_b / d (an edge to the heart
-    is killing term): sums and products of positives only, so no digit
-    cancels (GTH elimination: Grassmann, Taksar & Heyman, Oper. Res. 33,
-    1985).  The vertices go in ``_PivotOrder``'s order, the dense rest as
-    one numpy block.
+    ``held`` maps vertex indices to values: the vertices held at 0 join the
+    heart, so their edges are killing term at the other end, and those
+    held at one nonzero value merge into one terminal.  Removing u with
+    neighbour weights w_a and pivot d joins each pair of its neighbours by
+    an edge of weight w_a w_b / d (an edge to the heart is killing term):
+    sums and products of positives only, so no digit cancels (GTH
+    elimination: Grassmann, Taksar & Heyman, Oper. Res. 33, 1985).  The
+    vertices go in ``_PivotOrder``'s order, the dense rest as one block.
     """
     n = g.size
+    c = g.killing_array if potential is None else g.killing_array + potential
+    kill = c.tolist()
     adj: list[dict[int, float]] = [{} for _ in range(n)]
     for i, j, w in zip(*(a.tolist() for a in g.edge_arrays)):
         adj[i][j] = adj[j][i] = w
-    kill = g.killing_array.tolist()
-    if potential is not None:
-        kill = [c + p for c, p in zip(kill, potential.tolist())]
-    fixed = sorted({int(t) for t in fixed})
     done = [False] * n
-    for t in fixed:
+    # the first vertex held at each nonzero value is the terminal of all
+    # held at it; each other held vertex folds into its terminal, or into
+    # the heart n if held at 0, its edges and killing term moving along
+    first: dict[float, int] = {}
+    for t in sorted(held):
         done[t] = True
-    # a fixed vertex keeps no adjacency of its own: ``tie`` sums its edges
-    # to the other fixed vertices, and ``kill`` its edge to the heart
-    tie = {t: sum(w for a, w in adj[t].items() if done[a]) for t in fixed}
-    heart = [n] if any(kill) else []
-    terminals: list[int] = heart + fixed
+        v = first.setdefault(held[t], t) if held[t] else n
+        if v == t:
+            continue
+        if v < n:
+            kill[v] += kill[t]
+        kill[t] = 0.0
+        for a, w in adj[t].items():
+            near = adj[a]
+            del near[t]
+            if v == n:
+                kill[a] += w
+            elif a != v:
+                near[v] = adj[v][a] = near.get(v, 0.0) + w
+    terminals: list[int] = ([n] if any(kill) else []) + list(first.values())
     # step k eliminated order[k] with pivots[k] and stars[k], which is its
     # adjacency dict: nothing touches that once its vertex is gone
     order: list[int] = []
@@ -544,20 +558,15 @@ def eliminate(
         kappa = kill[u]
         if len(star) == 2 and not kappa:
             # a series move, in the same operations as the general step
-            # below: its neighbours are joined by w_a w_b / d, and two fixed
-            # ones are tied to each other by it (most pivots of a family
-            # ball are series moves: every one of ray_power:3 and
-            # triangle_ladder, 95% of comb's)
+            # below: its neighbours are joined by w_a w_b / d (most pivots
+            # of a family ball are series moves: every one of ray_power:3
+            # and triangle_ladder, 95% of comb's)
             (a, wa), (b, wb) = star.items()
             if d := wa + wb:
                 order.append(u)
                 stars.append(star)
                 pivots.append(d)
                 mesh = wa * wb / d
-                if done[a] and done[b]:
-                    tie[a] += mesh
-                    tie[b] += mesh
-                    continue
                 for x, y in ((a, b), (b, a)):
                     if not done[x]:
                         near = adj[x]
@@ -575,12 +584,10 @@ def eliminate(
         order.append(u)
         stars.append(star)
         pivots.append(d)
-        tied = []
         for a, wa in star.items():
             if kappa:
                 kill[a] += wa * kappa / d
             if done[a]:
-                tied.append(a)
                 continue
             near = adj[a]
             del near[u]
@@ -591,20 +598,12 @@ def eliminate(
                 stack.append(a)
             else:
                 moved.add(a)
-        if len(tied) > 1:
-            # each fixed neighbour is tied to the others by w_a w_b / d, their
-            # weights summed from both sides of it (no difference taken)
-            ws = [star[t] for t in tied]
-            below = [0.0, *accumulate(ws)]
-            above = [*accumulate(reversed(ws))][::-1] + [0.0]
-            for k, t in enumerate(tied):
-                tie[t] += ws[k] * (below[k] + above[k + 1]) / d
         if kappa:
             star[n] = kappa
     rest = rule.rest
     if rest:
-        # the fixed vertices next to the rest ride along as columns that
-        # are never pivoted, their ties and killing term starting from zero
+        # the held terminals next to the rest ride along as columns that
+        # are never pivoted, their killing term starting from zero
         m = len(rest)
         block = rest + sorted({a for v in rest for a in adj[v] if done[a]})
         at = {v: k for k, v in enumerate(block)}
@@ -630,19 +629,14 @@ def eliminate(
             mesh /= d
             W[k + 1 :, k + 1 :] += mesh
             kap[k + 1 :] += w * kap[k] / d
-        np.fill_diagonal(W[m:, m:], 0.0)
         for k, t in enumerate(block[m:], m):
-            tie[t] += float(W[k, m:].sum())
             kill[t] += float(kap[k])
-    schur = [sum(kill[t] for t in fixed)] if heart else []
-    schur += [tie[t] + kill[t] for t in fixed]
-    schur += [0.0] * (len(terminals) - len(schur))
     return Elimination(
         np.array(order, dtype=np.intp),
         np.array(terminals, dtype=np.intp),
         stars,
         pivots,
-        np.array(schur, dtype=float),
+        np.array([kill[t] for t in first.values()], dtype=float),
     )
 
 
@@ -650,67 +644,60 @@ class GroundedFactor:
     """The energy matrix (plus ``potential`` on the diagonal), grounded so
     that it is positive definite and factored by ``eliminate``.
 
-    ``fixed`` vertices carry Dirichlet data: never eliminated, their values
-    enter the back substitution.  A component of the other vertices with no
-    diagonal term and no fixed vertex is *floating* (constants on it cost
-    no energy): its last vertex is grounded at zero, and each solve is
-    shifted to mean zero on it, the solution of least norm.  A solve is one
-    forward and one back substitution over the record; no pivot or
-    multiplier came from a subtraction, so no refinement step follows.
+    ``held`` maps vertex indices to real Dirichlet data: never eliminated,
+    their values enter the back substitution.  A component of the other
+    vertices with no diagonal term and no held vertex is *floating*
+    (constants on it cost no energy): its last vertex is grounded at zero,
+    and each solve is shifted to mean zero on it, the solution of least
+    norm.  A solve is one forward and one back substitution over the
+    record; no pivot or multiplier came from a subtraction, so no
+    refinement step follows.
     """
 
     def __init__(
         self,
         g: WeightedGraph,
-        fixed: Iterable[int] = (),
+        held: Mapping[int, float] = {},
         potential: np.ndarray | None = None,
     ):
         self.size = n = g.size
-        self.fixed = np.array(sorted({int(t) for t in fixed}), dtype=np.intp)
-        self._record = rec = eliminate(g, self.fixed, potential)
+        self.held = {int(t): float(z) for t, z in held.items()}
+        self._record = rec = eliminate(g, self.held, potential)
         # a vertex takes the component of its first neighbour that is
-        # neither fixed nor the heart (eliminated later), read in reverse
+        # neither held nor the heart (eliminated later), read in reverse
         # elimination order; one with none was the last of its component
         label = [*range(n), -1]
-        for t in self.fixed.tolist():
+        for t in self.held:
             label[t] = -1
         for u, star in zip(reversed(rec.order.tolist()), reversed(rec.stars)):
             for a in star:
                 if label[a] >= 0:
                     label[u] = label[a]
                     break
-        #: component label of each non-fixed vertex, -1 on fixed ones
+        #: component label of each vertex not held, -1 on held ones
         self.component = np.array(label[:n])
         roots = [t for t in rec.terminals.tolist() if t < n and label[t] >= 0]
         self.floating = tuple(
             sorted((np.flatnonzero(self.component == t) for t in roots), key=lambda c: c[0])
         )
 
-    def solve(
-        self, rhs: np.ndarray | None = None, fixed_values: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Full-length u with A u = rhs on the eliminated vertices, u equal to
-        ``fixed_values`` (in vertex order) on the fixed ones, and mean zero
-        on every floating component.  Complex data takes one real solve per
-        part.  A partial sum of the back substitution reaches max|data|
-        times a pivot; where that would come near overflow, the data are
-        scaled by a power of two (exactly) and the solution scaled back,
-        held to the data's range with 0 when only Dirichlet data are given."""
-        if np.iscomplexobj(rhs) or np.iscomplexobj(fixed_values):
-            real, imag = (
-                self.solve(*(None if z is None else part(z) for z in (rhs, fixed_values)))
-                for part in (np.real, np.imag)
-            )
-            return real + 1j * imag
+    def solve(self, rhs: np.ndarray | None = None) -> np.ndarray:
+        """Full-length real u with A u = ``rhs`` on the eliminated vertices,
+        u equal to the held values on the held ones, and mean zero on every
+        floating component.  A partial sum of the back substitution reaches
+        max|data| times a pivot; where that would come near overflow, the
+        data are scaled by a power of two (exactly) and the solution scaled
+        back, held to the data's range with 0 when only held values are
+        given."""
         rec = self._record
-        big = max([0.0] + [float(np.abs(z).max(initial=0.0)) for z in (rhs, fixed_values) if z is not None])
+        values = np.fromiter(self.held.values(), float, len(self.held))
+        big = float(np.abs(values if rhs is None else np.append(values, rhs)).max(initial=0.0))
         # 2^1000 leaves headroom below the float maximum of ~2^1024
         scale = math.ldexp(1.0, -math.frexp(big)[1]) if big * max(rec.pivots, default=0.0) > 2.0**1000 else 1.0
-        if scale != 1.0:
-            rhs, fixed_values = (None if z is None else z * scale for z in (rhs, fixed_values))
+        values *= scale
         steps = list(zip(rec.order.tolist(), rec.stars, rec.pivots))
         # slot n of x is the heart, held at zero like every terminal
-        x = [0.0] * (self.size + 1) if rhs is None else [*rhs.tolist(), 0.0]
+        x = [0.0] * (self.size + 1) if rhs is None else [*(rhs * scale).tolist(), 0.0]
         if rhs is not None:
             # forward: each step passes its share w_a / d of its entry on
             for u, star, d in steps:
@@ -720,8 +707,8 @@ class GroundedFactor:
                         x[a] += w * share
         for t in rec.terminals.tolist():
             x[t] = 0.0
-        for t, value in zip(self.fixed.tolist(), [] if fixed_values is None else fixed_values):
-            x[t] = float(value)
+        for t, value in zip(self.held, values.tolist()):
+            x[t] = value
         # back: u = (b + sum_a w_a u_a) / d, latest step first
         for u, star, d in reversed(steps):
             total = x[u]
@@ -734,7 +721,7 @@ class GroundedFactor:
         if scale != 1.0 and rhs is None:
             # the maximum principle keeps u between the data and 0: hold
             # rounding there, where scaling back cannot overflow
-            np.clip(u, min(fixed_values.min(), 0.0), max(fixed_values.max(), 0.0), out=u)
+            np.clip(u, min(values.min(), 0.0), max(values.max(), 0.0), out=u)
         return u if scale == 1.0 else u / scale
 
 

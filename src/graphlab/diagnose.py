@@ -144,7 +144,7 @@ def greedy_net_size(dist: np.ndarray, members: np.ndarray, start: int, cap: int 
     """Greedy farthest-point nets on the rows ``members`` of ``dist``, first
     centre ``start``: for each eps in ``EPS_LADDER``, how many centres until
     every member is within eps of one, or cap+1 when the budget runs out.
-    Each centre is the argmax of the cover (the first member on a tie),
+    Each centre is the argmax of the cover (the first of equal maxima),
     whatever eps is, so one traversal serves the descending ladder."""
     cover = dist[start, members]
     size, top = 1, cover.max()

@@ -16,8 +16,6 @@ import cmath
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     GroundedFactor,
     Vertex,
@@ -71,17 +69,18 @@ def solve_dirichlet(p: DirichletProblem) -> VertexFunction:
     interior = p.interior
     if not interior:
         return VertexFunction.from_mapping(p.boundary_values)
-    bvert = [v for v in g.vertices if v in p.boundary_values]
-    factor = GroundedFactor(g, fixed=[g.index[v] for v in bvert])
+    data = {g.index[v]: complex(z) for v, z in p.boundary_values.items()}
+    real, imag = ({t: getattr(z, part) for t, z in data.items()} for part in ("real", "imag"))
+    factor = GroundedFactor(g, held=real)
     if factor.floating:
         raise SingularSystemError(
             "interior component isolated from the boundary with zero killing "
             f"term: {sorted(str(g.vertices[i]) for i in factor.floating[0])}"
         )
-    phi = np.array([p.boundary_values[v] for v in bvert])
-    if not (np.iscomplexobj(phi) and np.any(phi.imag != 0)):
-        phi = phi.real.astype(float)
-    u = factor.solve(fixed_values=phi)
+    u = factor.solve()
+    if any(imag.values()):
+        # the terminals depend on the values, so each part has its own factor
+        u = u + 1j * GroundedFactor(g, held=imag).solve()
     values: dict[Vertex, complex] = dict(p.boundary_values)
     for v in interior:
         values[v] = u[g.index[v]]
@@ -120,17 +119,18 @@ def capacity_to_set(g: WeightedGraph, o: Vertex, targets: Sequence[Vertex]) -> f
     """Minimal energy of a unit potential at ``o`` grounded on ``targets``.
 
     Equals the effective conductance between ``o`` and the collapsed
-    target set (with the heart, which the killing term grounds), read off
-    the Schur complement onto ``o``, the targets and the heart as the sum
-    of the weights at ``o``: no difference of potentials is ever taken.
+    target set (with the heart, which the killing term grounds): the
+    targets, held at 0, join the heart, and the capacity is ``o``'s weight
+    to it once every other vertex is eliminated, a sum of positives with
+    no difference of potentials ever taken.
     """
     if unknown := [v for v in (o, *targets) if v not in g.index]:
         raise ValidationError([f"vertex {v!r} not in graph" for v in unknown])
     if o in targets:
         raise ValidationError([f"origin {o!r} lies in the ground set"])
-    o_at = g.index[o]
-    rec = eliminate(g, [o_at] + [g.index[v] for v in targets])
-    return float(rec.schur_diagonal[np.flatnonzero(rec.terminals == o_at)[0]])
+    held = dict.fromkeys((g.index[v] for v in targets), 0.0)
+    held[g.index[o]] = 1.0
+    return float(eliminate(g, held).grounding[0])
 
 
 @dataclass(frozen=True)
@@ -163,22 +163,23 @@ def capacity(
     """Grounded-frontier capacities along the exhaustion.
 
     Level n solves the problem "1 at the origin, 0 on the frontier" on
-    ball n and records the energy.  A level whose frontier holds the
-    origin gives no value; when every level's does, ValidationError.  The
-    sequence is nonincreasing; a converged limit at most
-    ``CAPACITY_THRESHOLD`` reads as recurrent, above it as transient.
+    ball n and records the energy.  A level whose ball does not yet hold
+    the origin, or whose frontier holds it, gives no value; when no level
+    gives one, ValidationError.  The sequence is nonincreasing; a
+    converged limit at most ``CAPACITY_THRESHOLD`` reads as recurrent,
+    above it as transient.
     """
     o = fam.origin if o is None else o
     ladder = sorted(set(default_level_ladder(64) if levels is None else levels))
     gave = []
 
     def grounded(n: int, b: Ball) -> float | None:
-        if o not in b.graph.index:
-            raise ValidationError([f"origin {o!r} missing from ball {n}"])
-        if o in b.frontier:  # the ball does not separate the origin from the rest
+        # a ball that misses the origin, or holds it in its frontier, does
+        # not separate the origin from the rest
+        if not (inside := o in b.graph.index) or o in b.frontier:
             if n == ladder[-1] and not gave:
-                raise ValidationError([f"{fam.name}: the origin {o!r} stays in the frontier "
-                                       "at every level, so no capacity grounds it"])
+                where = "stays in the frontier at every level" if inside else "is in no ball of the ladder"
+                raise ValidationError([f"{fam.name}: the origin {o!r} {where}, so no capacity grounds it"])
             return None
         gave.append(n)
         return capacity_to_set(b.graph, o, list(b.frontier)) if b.frontier else 0.0
@@ -247,10 +248,9 @@ def constant_approximation_defect(
         outside = [g.index[v] for v in g.vertices if v not in support]
         if len(outside) == g.size:
             return float(m.total)
-        # 1 on every fixed vertex and 0 at the heart: the energy is the
-        # heart's total weight in the Schur complement onto them
-        rec = eliminate(g, outside, m.as_array(g))
-        return float(rec.schur_diagonal[0])
+        # 1 on every outside vertex and 0 at the heart: the energy is the
+        # weight between the one terminal they make and the heart
+        return float(eliminate(g, dict.fromkeys(outside, 1.0), m.as_array(g)).grounding.sum())
 
     used, report = climb(fam, levels, defect, tolerance)
     verdict = _classify_limit(report, DEFECT_THRESHOLD, "vanishing", "positive")

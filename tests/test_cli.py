@@ -15,6 +15,8 @@ from graphlab.harmonic import DirichletProblem, solve_dirichlet
 from graphlab.metrics import INF_MARKER, path_metric
 from graphlab.spectral import assemble, heat, spectrum
 
+from conftest import exact_capacity
+
 
 def run(argv, tmp_path, name):
     out = tmp_path / name
@@ -151,6 +153,20 @@ class TestCommands:
         )
         assert code == 0
         assert json.loads(data)["capacity"] == pytest.approx(4 / 3, abs=1e-12)
+
+    def test_capacity_family_grounds_the_given_origin(self, tmp_path):
+        # comb balls 1 and 2 miss 3:0 and ball 3 holds it in its frontier,
+        # so the ladder 1, 2, 4, 3..8 gives values from level 4 on
+        argv = ["capacity", "--family", "comb", "--levels", "8", "--origin", "3:0"]
+        code, data = run(argv, tmp_path, "cap.json")
+        assert code == 0
+        payload = json.loads(data)
+        assert payload["origin"] == "3:0" and payload["levels"] == [4, 5, 6, 7, 8]
+        fam = make(FamilySpec("comb"))
+        for n, value in zip(payload["levels"], payload["values"]):
+            ball = fam.build_ball(n)
+            exact = float(exact_capacity(ball.graph, "3:0", ball.frontier))
+            assert abs(value - exact) <= 1e-12 * exact, n
 
     def test_reduce_heart_roundtrip_blocked(self, tmp_path):
         doc = {
@@ -395,6 +411,24 @@ class TestExitCodes:
     def test_refused_value_is_2(self, argv, message, comb_doc, tmp_path, capsys):
         argv = [comb_doc if a == "DOC" else a for a in argv]
         code, data = run(argv, tmp_path, "out")
+        assert code == 2 and data == b""
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--origin", "nothere"],
+             "comb: the origin 'nothere' is in no ball of the ladder, so no capacity grounds it"),
+            (["--ground", "3:0"],
+             "capacity --family grounds each ball's frontier and reads no --ground or graph document"),
+            (["DOC"],
+             "capacity --family grounds each ball's frontier and reads no --ground or graph document"),
+        ],
+        ids=["unknown_origin", "ground", "document"],
+    )
+    def test_capacity_family_refuses_what_it_cannot_use(self, extra, message, comb_doc, tmp_path, capsys):
+        argv = ["capacity", "--family", "comb", "--levels", "8"] + extra
+        code, data = run([comb_doc if a == "DOC" else a for a in argv], tmp_path, "out")
         assert code == 2 and data == b""
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 

@@ -22,6 +22,7 @@ from graphlab.core import (
 )
 from graphlab.errors import DomainMismatchError, UnknownVertexError, ValidationError
 from graphlab.families import FamilySpec, make
+from graphlab.harmonic import DirichletProblem, solve_dirichlet
 from graphlab.metrics import path_metric
 
 from conftest import (
@@ -270,27 +271,42 @@ class TestEliminate:
                 assert abs((np.fromiter(star.values(), float) / d).sum() - 1.0) <= 1e-14
             assert all(d > 0 for d in rec.pivots)
 
-    def test_schur_diagonal_matches_the_dense_schur_complement(self, rng):
-        for trial in range(30):
+    def test_grounding_matches_the_dense_schur_complement(self, rng):
+        # trials 0-29 hold each vertex at its own nonzero value; trial 30
+        # holds twelve vertices i at i mod 3: those at 0 join the heart, and
+        # those at 1 and at 2 merge into two terminals
+        for trial in range(31):
             g = random_connected_graph(rng, 20, extra_edges=30, with_killing=bool(trial % 2))
             potential = rng.uniform(0.0, 1.0, 20) * (rng.random(20) < 0.2)
-            fixed = sorted({int(i) for i in rng.integers(0, 20, 4)})
-            rec = eliminate(g, fixed, potential)
+            if trial < 30:
+                fixed = sorted({int(i) for i in rng.integers(0, 20, 4)})
+                held = {t: float(k + 1) for k, t in enumerate(fixed)}
+            else:
+                held = {int(i): float(i % 3) for i in rng.choice(20, 12, replace=False)}
+            rec = eliminate(g, held, potential)
+            # the Laplacian with the heart as vertex 20, its rows and columns
+            # summed over the heart's group (with the vertices held at 0) and
+            # over each class of one nonzero value, then reduced onto these
+            # groups by a dense (cancelling but well-conditioned) solve
             kill = g.killing_array + potential
-            heart = [20] if kill.any() else []
-            assert rec.terminals.tolist() == heart + fixed
-            # the Laplacian with the heart as vertex 20, reduced onto the
-            # terminals by a dense (cancelling but well-conditioned) solve
             L = np.zeros((21, 21))
             L[:20, :20] = quadratic_form_matrix(g) + np.diag(potential)
             L[:20, 20] = L[20, :20] = -kill
             L[20, 20] = kill.sum()
-            keep = rec.terminals
-            rest = rec.order
-            S = L[np.ix_(keep, keep)] - L[np.ix_(keep, rest)] @ np.linalg.solve(
-                L[np.ix_(rest, rest)], L[np.ix_(rest, keep)]
+            classes = sorted(([t for t in held if held[t] == z] for z in {*held.values()} - {0.0}), key=min)
+            groups = [[20] + [t for t in held if held[t] == 0.0], *classes]
+            groups += [[t] for t in range(20) if t not in held]
+            P = np.zeros((21, len(groups)))
+            for k, members in enumerate(groups):
+                P[members, k] = 1.0
+            Q = P.T @ L @ P
+            heart = [20] if Q[0, 1:].any() else []
+            assert rec.terminals.tolist() == heart + [min(c) for c in classes]
+            keep, rest = range(len(classes) + 1), range(len(classes) + 1, len(groups))
+            S = Q[np.ix_(keep, keep)] - Q[np.ix_(keep, rest)] @ np.linalg.solve(
+                Q[np.ix_(rest, rest)], Q[np.ix_(rest, keep)]
             )
-            assert np.allclose(rec.schur_diagonal, np.diag(S), rtol=1e-10, atol=0.0)
+            assert np.allclose(rec.grounding, -S[0, 1:], rtol=1e-10, atol=0.0)
 
     @staticmethod
     def petersen_with_tail():
@@ -311,10 +327,10 @@ class TestEliminate:
         # degree 4, and 1 of degree 5, the terminal
         assert rec.order.tolist() == [10, 11, 0, 2, 6, 8, 9, 3, 4, 5, 7]
         assert rec.terminals.tolist() == [1]
-        # with 7 fixed, one vertex fewer is left: 2 (9 > 8 left) only has two
+        # with 7 held, one vertex fewer is left: 2 (9 > 8 left) only has two
         # neighbours still to be eliminated, so it goes on its own; 6 (9 > 7
         # left) switches, and 1, of degree 5, goes last
-        rec = eliminate(g, [7])
+        rec = eliminate(g, {7: 1.0})
         assert rec.order.tolist() == [10, 11, 0, 2, 6, 8, 9, 3, 4, 5, 1]
         assert rec.terminals.tolist() == [7]
 
@@ -327,23 +343,23 @@ class TestEliminate:
 
 def _record(rec):
     """Everything an elimination records, as plain lists: order,
-    terminals, each star's items in order, pivots and Schur diagonal."""
+    terminals, each star's items in order, pivots and grounding."""
     stars = [list(star.items()) for star in rec.stars]
-    return rec.order.tolist(), rec.terminals.tolist(), stars, list(rec.pivots), rec.schur_diagonal.tolist()
+    return rec.order.tolist(), rec.terminals.tolist(), stars, list(rec.pivots), rec.grounding.tolist()
 
 
 def _elimination_corpus():
-    """Seeded graphs on 30 vertices with (graph, fixed, potential): killing
-    terms on two in three, fixed sets of up to four vertices, a potential
-    on every other one, and 200 extra edges on every fourth, which sends
-    them to the dense block."""
+    """Seeded graphs on 30 vertices with (graph, held, potential): killing
+    terms on two in three, up to four vertices held at distinct nonzero
+    values, a potential on every other one, and 200 extra edges on every
+    fourth, which sends them to the dense block."""
     rng = np.random.default_rng(19)
     for trial in range(24):
         g = random_connected_graph(rng, 30, extra_edges=(0, 10, 60, 200)[trial % 4],
                                    with_killing=bool(trial % 3))
         fixed = sorted({int(i) for i in rng.integers(0, 30, trial % 5)})
         potential = rng.uniform(0.0, 1.0, 30) * (rng.random(30) < 0.2) if trial % 2 else None
-        yield g, fixed, potential
+        yield g, {t: float(k + 1) for k, t in enumerate(fixed)}, potential
 
 
 class TestEliminationRecords:
@@ -351,21 +367,21 @@ class TestEliminationRecords:
         outer = np.outer
         dense = []
         monkeypatch.setattr(np, "outer", lambda *a: dense.append(1) or outer(*a))
-        for g, fixed, potential in _elimination_corpus():
+        for g, held, potential in _elimination_corpus():
             at = {v: i for i, v in enumerate(g.vertices)}
             pairs, weights = zip(*g.edges.items())
             h = WeightedGraph(
                 g.vertices, [at[u] for u, _ in pairs], [at[v] for _, v in pairs],
                 weights, [g.killing[v] for v in g.vertices],
             )
-            assert _record(eliminate(h, fixed, potential)) == _record(eliminate(g, fixed, potential))
+            assert _record(eliminate(h, held, potential)) == _record(eliminate(g, held, potential))
         assert dense  # the corpus runs the dense block
 
     def test_records_are_pinned(self):
         # digest of every record of the corpus as the general star update
         # alone gives it: the series-move update must match it digit for digit
         text = repr([_record(eliminate(*case)) for case in _elimination_corpus()])
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "2b5107c40cb8dea1"
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "2b8ce7aff2ba3912"
 
 
 class TestGroundedFactor:
@@ -374,7 +390,7 @@ class TestGroundedFactor:
             g = random_connected_graph(rng, 12, with_killing=bool(rng.integers(0, 2)))
             fixed = sorted({int(i) for i in rng.integers(0, 12, 3)})
             phi = rng.standard_normal(len(fixed))
-            u = GroundedFactor(g, fixed=fixed).solve(fixed_values=phi)
+            u = GroundedFactor(g, held=dict(zip(fixed, phi))).solve()
             A = quadratic_form_matrix(g)
             free = [i for i in range(12) if i not in fixed]
             want = np.linalg.solve(A[np.ix_(free, free)], -A[np.ix_(free, fixed)] @ phi)
@@ -398,20 +414,25 @@ class TestGroundedFactor:
         assert np.abs(u - want).max() <= 1e-12 * (1 + np.abs(want).max())
 
     def test_complex_data_is_two_real_solves(self, rng):
+        # one factor per part: their terminals differ where one part holds
+        # two vertices at the same value, or one at 0, and the other does not
         g = random_connected_graph(rng, 10)
-        factor = GroundedFactor(g, fixed=[0, 5])
-        re, im = rng.standard_normal(2), rng.standard_normal(2)
-        u = factor.solve(fixed_values=re + 1j * im)
-        assert np.array_equal(u.real, factor.solve(fixed_values=re))
-        assert np.array_equal(u.imag, factor.solve(fixed_values=im))
+
+        def extend(values):
+            data = dict(zip((g.vertices[0], g.vertices[5]), values))
+            return solve_dirichlet(DirichletProblem(g, data)).as_array(g)
+
+        for re, im in ((rng.standard_normal(2), rng.standard_normal(2)), ([1.0, 1.0], [0.0, 2.0])):
+            u = extend(np.add(re, 1j * np.asarray(im)))
+            assert np.array_equal(u.real, extend(re))
+            assert np.array_equal(u.imag, extend(im))
 
     def test_refinement_keeps_comb_dirichlet_in_range(self):
         # comb weights span 2^0..2^40; the maximum principle bounds every
         # harmonic extension of the data +1 and -1 by [-1, 1]
         g = make(FamilySpec("comb")).build_ball(40).graph
         for n in range(1, 41):
-            factor = GroundedFactor(g, fixed=[0, g.index[f"{n}:0"]])
-            u = factor.solve(fixed_values=np.array([1.0, -1.0]))
+            u = GroundedFactor(g, held={0: 1.0, g.index[f"{n}:0"]: -1.0}).solve()
             assert u.max() <= 1.0 + 1e-12 and u.min() >= -1.0 - 1e-12, n
 
     def test_comb_100_spine_solves_are_exact(self):
@@ -432,7 +453,7 @@ class TestGroundedFactor:
             potential = rng.uniform(0.0, 1.0, 14) * (rng.random(14) < 0.3)
             fixed = sorted({int(i) for i in rng.integers(0, 14, 3)})
             rhs, phi = rng.standard_normal(14), rng.standard_normal(len(fixed))
-            u = GroundedFactor(g, fixed=fixed, potential=potential).solve(rhs, phi)
+            u = GroundedFactor(g, held=dict(zip(fixed, phi)), potential=potential).solve(rhs)
             A = quadratic_form_matrix(g) + np.diag(potential)
             free = [i for i in range(14) if i not in fixed]
             want = np.linalg.solve(

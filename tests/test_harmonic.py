@@ -1,10 +1,12 @@
 """Dirichlet problems, maximum principle, capacities and the defect statistic."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.special
 
-from graphlab.core import VertexFunction, WeightedGraph, energy
+from graphlab.core import GroundedFactor, VertexFunction, WeightedGraph, eliminate, energy
 from graphlab.errors import SingularSystemError, ValidationError
 from graphlab.families import FamilySpec, add_killing, make
 from graphlab.harmonic import (
@@ -240,6 +242,71 @@ class TestCapacity:
     def test_origin_in_ground_set_is_refused(self, path24):
         with pytest.raises(ValidationError, match="origin '0' lies in the ground set"):
             capacity_to_set(path24, "0", ["2", "0"])
+
+
+class TestValueClasses:
+    """A held vertex enters the elimination by its value: those held at 0
+    join the heart, and those held at one nonzero value merge into one
+    terminal, so wide frontiers cost no more than narrow ones."""
+
+    @staticmethod
+    def exact_reference(g, held, potential):
+        # the rational reference carries the potential as killing term
+        if potential is not None:
+            g = WeightedGraph(g.vertices, *g.edge_arrays, g.killing_array + potential)
+        return g, {g.vertices[t]: z for t, z in held.items()}
+
+    def test_large_held_sets_match_exact_rationals(self, rng):
+        # 24 of 40 vertices held at four values, 0 among them; killing term
+        # on every other graph, a potential and a right-hand side on half
+        for trial in range(16):
+            g = random_connected_graph(rng, 40, with_killing=bool(trial % 2))
+            potential = rng.uniform(0.0, 1.0, 40) * (rng.random(40) < 0.3) if trial % 4 >= 2 else None
+            rhs = rng.standard_normal(40) if trial % 8 >= 4 else None
+            picks = rng.choice(40, 24, replace=False).tolist()
+            held = {t: float(z) for t, z in zip(picks, rng.choice([0.0, 1.0, -2.0, 0.5], 24))}
+            u = GroundedFactor(g, held, potential).solve(rhs)
+            h, fixed = self.exact_reference(g, held, potential)
+            exact = exact_solve(h, None if rhs is None else dict(zip(g.vertices, rhs.tolist())), fixed)
+            want = np.array([float(exact[v]) for v in g.vertices])
+            assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max(), trial
+
+    def test_grounding_is_the_exact_energy_of_zero_one_data(self, rng):
+        # the Dirichlet principle: the energy of the harmonic extension of
+        # 0/1 data is the weight between the terminal at 1 and the heart
+        for trial in range(8):
+            g = random_connected_graph(rng, 40, with_killing=bool(trial % 2))
+            potential = rng.uniform(0.0, 1.0, 40) * (rng.random(40) < 0.3) if trial % 4 >= 2 else None
+            picks = rng.choice(40, 20, replace=False).tolist()
+            held = {t: float(k % 2) for k, t in enumerate(picks)}
+            grounding = eliminate(g, held, potential).grounding
+            h, fixed = self.exact_reference(g, held, potential)
+            u = exact_solve(h, fixed=fixed)
+            want = sum(Fraction(b) * (u[x] - u[y]) ** 2 for (x, y), b in h.edges.items())
+            want = float(want + sum(Fraction(c) * u[x] ** 2 for x, c in h.killing.items()))
+            assert grounding.size == 1 and abs(grounding[0] - want) <= 1e-12 * want, trial
+
+    def test_capacity_to_every_frontier_vertex_of_a_binary_tree(self):
+        # ball 9 of the depth-10 binary tree has 512 frontier vertices; its
+        # levels are 2^k unit edges in parallel, so the capacity is 512/511
+        b = make(FamilySpec("finite_tree", (10.0, 2.0))).build_ball(9)
+        targets = sorted(b.frontier)
+        assert len(targets) == 512
+        cap = capacity_to_set(b.graph, "r", targets)
+        exact = exact_capacity(b.graph, "r", targets)
+        assert exact == Fraction(512, 511)
+        assert abs(cap - float(exact)) <= 1e-12 * float(exact)
+
+    @pytest.mark.parametrize("depth", [11, 12])
+    def test_symmetric_leaf_data_give_one_half_at_the_root(self, depth):
+        # 0 on the left half of the leaves and 1 on the right: by symmetry
+        # u(r) = 1/2, and the data make two terminals however many leaves
+        g = make(FamilySpec("finite_tree", (float(depth), 2.0))).build_ball(depth).graph
+        leaves = [v for v in g.vertices if len(v) == depth + 1]
+        assert len(leaves) == 2**depth
+        data = {v: float(k >= len(leaves) // 2) for k, v in enumerate(leaves)}
+        u = solve_dirichlet(DirichletProblem(g, data))
+        assert abs(u["r"] - 0.5) <= 1e-15
 
 
 class TestDefect:
