@@ -26,12 +26,17 @@ Every linear solve of the package reads one routine: ``eliminate``
 records a star–mesh elimination in edge form, with the killing term and
 the vertices held at 0 as one heart terminal and the vertices held at
 each nonzero value as one terminal, whose pivots are sums of positive
-weights, so no digit cancels.  ``GroundedFactor`` solves by substitution
-over that record; the all-pairs resistance table and capacities read it
-too.  ``_sweep`` is the one reverse sweep that reads an
-elimination record into an all-pairs table, written by vertex in place:
-the resistance table from this one, the path-metric table from the
-(min, +) one in ``metrics``.
+weights, so no digit cancels.  It runs in three phases: rounds, each
+removing an independent set of vertices of degree at most two in one
+numpy step, while a round removes ``ROUND_MIN`` or more; then a
+stack/heap loop, one pivot at a time; then a dense block for what fill
+has made dense.  ``GroundedFactor`` solves by substitution over that
+record, a round per numpy expression; the all-pairs resistance table
+and capacities read it too.  ``_sweep`` is the one reverse sweep that
+reads an elimination record, flattened, into an all-pairs table,
+written by vertex in place: the resistance table from this one, the
+path-metric table from the (min, +) one in ``metrics``, which takes the
+same rounds and pivot order.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from functools import cached_property
 import heapq
 from itertools import accumulate, chain
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -395,18 +401,46 @@ def quadratic_form_matrix(g: WeightedGraph) -> np.ndarray:
     return A
 
 
+#: A round must remove at least this many vertices: the rounds stop at the
+#: first that would remove fewer, and a graph with fewer vertices to
+#: eliminate never enters them.  On ladder balls of 10^3 vertices a round
+#: (some 60 numpy calls) took about 70 µs and the scalar loop about 1.1 µs
+#: per pivot, so a round pays from about 64 vertices (2-core host); 32 and
+#: 128 gave ladder eliminations within 6% of it.
+ROUND_MIN = 64
+
+
+class Round(NamedTuple):
+    """One round of an elimination, as arrays over its vertices ``u``
+    (ascending, no two adjacent): each one's neighbours ``a`` < ``b`` and
+    their weights (or lengths), a missing neighbour being the heart n
+    with weight 0; its killing term ``kappa`` and pivot ``d`` (None in the
+    (min, +) semiring)."""
+
+    u: np.ndarray
+    a: np.ndarray
+    wa: np.ndarray
+    b: np.ndarray
+    wb: np.ndarray
+    kappa: np.ndarray | None
+    d: np.ndarray | None
+
+
 @dataclass(frozen=True)
 class Elimination:
     """Record of one star–mesh elimination of a weighted graph.
 
     Index n (the graph's size) is the heart: killing term is an edge to it.
-    Step k removed ``order[k]``; ``stars[k]`` maps its neighbours then (each
-    eliminated later or a terminal) to their weights, with sum ``pivots[k]``.
-    ``terminals`` were never eliminated: the heart (if any weight reaches
-    it), the first vertex held at each nonzero value in index order (the
-    terminal of all held at that value), then the last vertex of each
-    component with no killing term and no held vertex (its pivot is zero).
+    The ``rounds`` went first.  Then step k removed ``order[k]``;
+    ``stars[k]`` maps its neighbours then (each eliminated later or a
+    terminal) to their weights, with sum ``pivots[k]``.  ``terminals``
+    were never eliminated: the heart (if any weight reaches it), the
+    first vertex held at each nonzero value in index order (the terminal
+    of all held at that value), then the last vertex of each component
+    with no killing term and no held vertex (its pivot is zero).
     ``grounding`` gives each held terminal's final weight to the heart.
+    ``by_rounds``, ``by_loop`` and ``by_block`` count the vertices that
+    the rounds, the stack/heap loop and the dense block removed.
     """
 
     order: np.ndarray
@@ -414,11 +448,182 @@ class Elimination:
     stars: list[dict[int, float]] = field(repr=False)
     pivots: list[float] = field(repr=False)
     grounding: np.ndarray
+    rounds: tuple[Round, ...] = field(default=(), repr=False)
+    by_rounds: int = 0
+    by_loop: int = 0
+    by_block: int = 0
+
+    @property
+    def n_rounds(self) -> int:
+        return len(self.rounds)
+
+    def flat(self, n: int) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray, np.ndarray]:
+        """Every step in elimination order, rounds first: ``_steps`` of
+        the record, then the pivots."""
+        pivots = np.concatenate([*(r.d for r in self.rounds), self.pivots])
+        return (*_steps(n, self.rounds, self.order, self.stars), pivots)
+
+
+def _priority(n: int) -> np.ndarray:
+    """A fixed one-to-one hash of 0..n-1 into [0, 2^32), with no seed:
+    the tie-break that picks each round's independent set."""
+    x = np.arange(n, dtype=np.uint64)
+    for mult, shift in ((0x9E3779B1, 16), (0x85EBCA6B, 13)):
+        # an odd multiplier and an xor-shift are both one-to-one mod 2^32
+        x = x * np.uint64(mult) & np.uint64(0xFFFFFFFF)
+        x ^= x >> np.uint64(shift)
+    return x.astype(np.int64)
+
+
+# the rounds hold an edge as the key lo << 32 | hi of its endpoints lo < hi
+_LOW = (1 << 32) - 1
+_NEVER = np.iinfo(np.int64).max
+
+
+def _edge_key(ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    return np.minimum(ii, jj) << 32 | np.maximum(ii, jj)
+
+
+def _sorted_edges(key: np.ndarray, w: np.ndarray, merge: np.ufunc) -> tuple[np.ndarray, np.ndarray]:
+    """Edge keys ascending with their weights, parallel edges (equal keys,
+    adjacent once sorted) merged by ``merge``: weights add, lengths take
+    the minimum."""
+    order = np.argsort(key, kind="stable")
+    key, w = key[order], w[order]
+    if (same := key[1:] == key[:-1]).any():
+        first = np.flatnonzero(np.concatenate(([True], ~same)))
+        key, w = key[first], merge.reduceat(w, first)
+    return key, w
+
+
+def _rounds(n: int, key: np.ndarray, w: np.ndarray, free: np.ndarray, kill: np.ndarray | None = None):
+    """Eliminate independent sets of free vertices of degree at most two,
+    one set per round in one numpy step, while a round removes at least
+    ``ROUND_MIN`` (multiple elimination: Liu, ACM TOMS 11, 1985; rake and
+    compress: Miller & Reif, FOCS 1985).
+
+    The graph is the edges ``key``, ``w`` of ``_sorted_edges``.  A round
+    takes each candidate (free, degree at most two) that ranks below every
+    candidate neighbour: leaves first, then in round r those whose index
+    has bit r clear (odd–even reduction: on a chain numbered in order that
+    is every other vertex), then by ``_priority``.  A leaf goes to its
+    neighbour; a series move joins its two neighbours by w_a w_b / d,
+    d = w_a + w_b + kappa, and each neighbour gains w_a kappa / d of
+    killing term (the same sums and products of positives as the scalar
+    step).  ``kill`` (n + 1 entries, the last a scratch slot) is None in
+    the (min, +) semiring, where a series move adds the two lengths.  Only
+    a series move makes a parallel edge (never on a tree); the sort that
+    puts the new edges in place finds them.  A vertex left with no
+    neighbour and no killing term is a floating root.  ``free`` (n + 1
+    entries, the last False) is updated in place.  Returns the rounds,
+    the floating roots, and the edges left as ``key``, ``w``.
+    """
+    merge = np.minimum if kill is None else np.add
+    tie = _priority(n + 1)
+    index = np.arange(n + 1)
+    rounds: list[Round] = []
+    roots: list[int] = []
+    while True:
+        ii, jj = key >> 32, key & _LOW
+        deg = np.bincount(ii, minlength=n + 1) + np.bincount(jj, minlength=n + 1)
+        pick = free & (deg <= 2)
+        rank = np.where(pick, deg << 33 | (index >> len(rounds) % 32 & 1) << 32 | tie, _NEVER)
+        pick[np.where(rank[ii] > rank[jj], ii, jj)] = False
+        u = np.flatnonzero(pick)
+        if u.size < ROUND_MIN:
+            return rounds, roots, key, w
+        pi, pj = pick[ii], pick[jj]
+        inc = pi | pj
+        p, o = np.where(pi, ii, jj)[inc], np.where(pi, jj, ii)[inc]
+        # slot 2k holds u[k]'s smaller neighbour, slot 2k + 1 its larger
+        low = np.full(n, n)
+        np.minimum.at(low, p, o)
+        slot = np.empty(n, np.intp)
+        slot[u] = np.arange(0, 2 * u.size, 2)
+        at = slot[p] + (o != low[p])
+        near, weight = np.full(2 * u.size, n), np.zeros(2 * u.size)
+        near[at], weight[at] = o, w[inc]
+        a, b, wa, wb = near[0::2], near[1::2], weight[0::2], weight[1::2]
+        if kill is None:
+            kappa = d = None
+            alone = a == n
+        else:
+            kappa = kill[u]
+            d = wa + wb + kappa
+            alone = d == 0.0
+        free[u] = False
+        if alone.any():
+            roots += u[alone].tolist()
+            live = ~alone
+            u, a, b, wa, wb = u[live], a[live], b[live], wa[live], wb[live]
+            if kill is not None:
+                kappa, d = kappa[live], d[live]
+        if kill is None:
+            mesh = wa + wb
+        else:
+            mesh = wa * wb / d
+            if kappa.any():
+                np.add.at(kill, a, wa * kappa / d)
+                np.add.at(kill, b, wb * kappa / d)
+        left, series = ~inc, b < n
+        new = np.concatenate((key[left], (a << 32 | b)[series]))
+        key, w = _sorted_edges(new, np.concatenate((w[left], mesh[series])), merge)
+        if u.size:
+            rounds.append(Round(u, a, wa, b, wb, kappa, d))
+
+
+def _adjacency(m: int, ii: np.ndarray, jj: np.ndarray, w: np.ndarray) -> list[dict[int, float]]:
+    """``adj[i]`` maps vertex i's neighbours to their weights, in edge order."""
+    adj: list[dict[int, float]] = [{} for _ in range(m)]
+    for i, j, x in zip(ii.tolist(), jj.tolist(), w.tolist()):
+        adj[i][j] = adj[j][i] = x
+    return adj
+
+
+def _remainder(n: int, key: np.ndarray, w: np.ndarray, free: np.ndarray) -> tuple[list[int], list]:
+    """The graph the rounds leave, for the scalar loop: its vertices (the
+    free ones and the terminals that still have an edge to one, ascending)
+    and the adjacency list, which holds a dict at each of them only.  An
+    edge between two vertices that are not free drops out, as the scalar
+    loop drops it."""
+    ii, jj = key >> 32, key & _LOW
+    if not (live := free[ii] | free[jj]).all():
+        ii, jj, w = ii[live], jj[live], w[live]
+    keep = free[:n].copy()
+    keep[ii] = keep[jj] = True
+    verts = np.flatnonzero(keep).tolist()
+    adj: list = [None] * n
+    for v in verts:
+        adj[v] = {}
+    for i, j, x in zip(ii.tolist(), jj.tolist(), w.tolist()):
+        adj[i][j] = adj[j][i] = x
+    return verts, adj
+
+
+def _steps(n: int, rounds: Sequence[Round], order: Sequence[int], stars: list[dict[int, float]]):
+    """The whole record flat, in elimination order, rounds first: the
+    vertices, each step's offsets (a list) into its members (a round
+    vertex's neighbours, then the heart if it has killing term) and
+    their weights."""
+    counts = np.fromiter(map(len, stars), np.intp, len(stars))
+    near = np.fromiter(chain.from_iterable(stars), np.intp, int(counts.sum()))
+    values = np.fromiter(chain.from_iterable(map(dict.values, stars)), float, near.size)
+    order = np.asarray(order, np.intp)
+    if rounds:
+        u, a, wa, b, wb = (np.concatenate(f) for f in zip(*(r[:5] for r in rounds)))
+        kappa = np.concatenate([np.zeros(r.u.size) if r.kappa is None else r.kappa for r in rounds])
+        there = np.column_stack((a < n, b < n, kappa > 0))
+        near = np.concatenate((np.column_stack((a, b, np.full(u.size, n)))[there], near))
+        values = np.concatenate((np.column_stack((wa, wb, kappa))[there], values))
+        counts = np.concatenate((there.sum(axis=1), counts))
+        order = np.concatenate((u, order))
+    return order, [0, *accumulate(counts.tolist())], near, values
 
 
 class _PivotOrder:
-    """The pivot order of both star–mesh eliminations, ``eliminate`` in the
-    (+, ×) semiring and ``metrics._min_plus_table`` in the (min, +) one.
+    """The pivot order of both star–mesh eliminations after their rounds,
+    ``eliminate`` in the (+, ×) semiring and ``metrics._min_plus_table``
+    in the (min, +) one.
 
     Vertices of degree at most two go first, from a stack (leaf and series
     moves never raise a degree), then the rest by min degree, ties by index,
@@ -427,20 +632,22 @@ class _PivotOrder:
     fill has made the rest dense: iteration stops, and ``rest`` lists the
     vertices left by (degree, index), to go as one numpy block.
 
-    ``adj[i]`` maps vertex i's neighbours to their weights or lengths; the
-    held vertices come ``done``, and no list holds the heart, so neither
-    is yielded.  Each pivot is yielded marked done.  The caller updates its
-    neighbours, and puts each on ``stack`` if its degree is then at most
-    two, else into ``moved``, which feeds the heap once the stack runs dry.
+    ``adj[i]`` maps vertex i's neighbours to their weights or lengths, for
+    each i of ``verts`` (all by default); the held vertices come ``done``,
+    and no list holds the heart, so neither is yielded.  Each pivot is
+    yielded marked done.  The caller updates its neighbours, and puts each
+    on ``stack`` if its degree is then at most two, else into ``moved``,
+    which feeds the heap once the stack runs dry.
     """
 
-    def __init__(self, adj: list[dict[int, float]], done: list[bool]):
+    def __init__(self, adj: list[dict[int, float]], done: list[bool], verts: Sequence[int] | None = None):
         self.adj, self.done, self.moved, self.rest = adj, done, set(), []
-        self.stack = [i for i in range(len(adj) - 1, -1, -1) if not done[i] and len(adj[i]) <= 2]
+        self.verts = range(len(adj)) if verts is None else verts
+        self.stack = [i for i in reversed(self.verts) if not done[i] and len(adj[i]) <= 2]
 
     def __iter__(self) -> Iterator[int]:
         adj, done, stack, moved = self.adj, self.done, self.stack, self.moved
-        heap = [(len(adj[i]), i) for i in range(len(adj)) if not done[i] and len(adj[i]) > 2]
+        heap = [(len(adj[i]), i) for i in self.verts if not done[i] and len(adj[i]) > 2]
         heapq.heapify(heap)
         left = done.count(False)
         while True:
@@ -463,38 +670,38 @@ class _PivotOrder:
             done[u] = True
             left -= 1
             yield u
-        self.rest = sorted((v for v in range(len(adj)) if not done[v]), key=lambda v: (len(adj[v]), v))
+        self.rest = sorted((v for v in self.verts if not done[v]), key=lambda v: (len(adj[v]), v))
 
 
 def _sweep(
     n: int,
     terminals: Iterable[int],
-    order: Sequence[int],
-    stars: list[dict[int, float]],
+    order: np.ndarray,
+    indptr: list[int],
+    near: np.ndarray,
+    values: np.ndarray,
     row: Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None],
 ) -> np.ndarray:
     """The n×n all-pairs table of an elimination record, in one reverse sweep.
 
-    The table is numbered by vertex, with one more row and column for a
-    terminal past n (the heart).  It starts at 0, and at ``inf`` between
-    terminals (each one roots its own component).  The eliminated
-    vertices go latest first: ``row(step, near, values, T, out)`` writes
-    the row of ``order[step]`` over every column into ``out``, from the
-    rows ``near`` of its star in the table ``T`` and the star's
-    ``values``; the sweep zeroes its diagonal entry and mirrors it into
-    its column.  Its entries towards vertices eliminated earlier come out
-    wrong, and each is overwritten when that vertex's own row is
-    mirrored.  With the heart, the table leaves as a view without it.
+    The record is flat (``_steps``).  The table is numbered by vertex,
+    with one more row and column for a terminal past n (the heart).  It
+    starts at 0, and at ``inf`` between terminals (each one roots its own
+    component).  The eliminated vertices go latest first:
+    ``row(step, near, values, T, out)`` writes the row of ``order[step]``
+    over every column into ``out``, from the rows ``near`` of its star in
+    the table ``T`` and the star's ``values``; the sweep zeroes its
+    diagonal entry and mirrors it into its column.  Its entries towards
+    vertices eliminated earlier come out wrong, and each is overwritten
+    when that vertex's own row is mirrored.  With the heart, the table
+    leaves as a view without it.
     """
     terminals = np.asarray(terminals, np.intp)
-    indptr = [0, *accumulate(map(len, stars))]
-    near = np.fromiter(chain.from_iterable(stars), np.intp, indptr[-1])
-    values = np.fromiter(chain.from_iterable(map(dict.values, stars)), float, indptr[-1])
     N = n + int((terminals == n).any())  # the heart
     T = np.zeros((N, N))
     T[np.ix_(terminals, terminals)] = math.inf
     T[terminals, terminals] = 0.0
-    for step, v in zip(reversed(range(len(stars))), reversed(order)):
+    for step, v in zip(reversed(range(len(order))), reversed(order.tolist())):
         lo, hi = indptr[step], indptr[step + 1]
         row(step, near[lo:hi], values[lo:hi], T, T[v])
         T[v, v] = 0.0
@@ -502,56 +709,51 @@ def _sweep(
     return T[:n, :n]
 
 
-def eliminate(
-    g: WeightedGraph,
-    held: Mapping[int, float] = {},
-    potential: np.ndarray | None = None,
-) -> Elimination:
-    """Eliminate every vertex not ``held`` by the star–mesh transform (Kron
-    reduction), with ``potential`` added to the killing term.
-
-    ``held`` maps vertex indices to values: the vertices held at 0 join the
-    heart, so their edges are killing term at the other end, and those
-    held at one nonzero value merge into one terminal.  Removing u with
-    neighbour weights w_a and pivot d joins each pair of its neighbours by
-    an edge of weight w_a w_b / d (an edge to the heart is killing term):
-    sums and products of positives only, so no digit cancels (GTH
-    elimination: Grassmann, Taksar & Heyman, Oper. Res. 33, 1985).  The
-    vertices go in ``_PivotOrder``'s order, the dense rest as one block.
-    """
-    n = g.size
-    c = g.killing_array if potential is None else g.killing_array + potential
-    kill = c.tolist()
-    adj: list[dict[int, float]] = [{} for _ in range(n)]
-    for i, j, w in zip(*(a.tolist() for a in g.edge_arrays)):
-        adj[i][j] = adj[j][i] = w
-    done = [False] * n
-    # the first vertex held at each nonzero value is the terminal of all
-    # held at it; each other held vertex folds into its terminal, or into
-    # the heart n if held at 0, its edges and killing term moving along
+def _fold(n: int, edges: tuple[np.ndarray, ...], c: np.ndarray, held: Mapping[int, float]):
+    """``eliminate``'s fold of the held vertices on edge arrays.  Returns
+    the killing term (n + 1 entries, the last a scratch slot), the
+    terminal of each nonzero value, and the edges left as
+    ``_sorted_edges``."""
+    ii, jj, w = edges
+    kill = np.append(c, 0.0)
     first: dict[float, int] = {}
+    into = np.arange(n + 1)
     for t in sorted(held):
-        done[t] = True
-        v = first.setdefault(held[t], t) if held[t] else n
-        if v == t:
-            continue
-        if v < n:
-            kill[v] += kill[t]
-        kill[t] = 0.0
-        for a, w in adj[t].items():
-            near = adj[a]
-            del near[t]
-            if v == n:
-                kill[a] += w
-            elif a != v:
-                near[v] = adj[v][a] = near.get(v, 0.0) + w
-    terminals: list[int] = ([n] if any(kill) else []) + list(first.values())
+        into[t] = first.setdefault(held[t], t) if held[t] else n
+    gone = np.flatnonzero(into[:n] != np.arange(n))
+    np.add.at(kill, into[gone], kill[gone])
+    kill[gone] = 0.0
+    a, b = into[ii], into[jj]
+    # an edge to the heart is killing term at its other end; edges between
+    # terminals drop out, and a free vertex's edges to one terminal merge
+    hot = (a == n) | (b == n)
+    np.add.at(kill, a[hot] + b[hot] - n, w[hot])
+    kill[n] = 0.0
+    tied = np.zeros(n + 1, bool)
+    tied[list(held)] = tied[n] = True
+    keep = (np.maximum(a, b) < n) & ~(tied[a] & tied[b])
+    return kill, first, _sorted_edges(_edge_key(a[keep], b[keep]), w[keep], np.add)
+
+
+def _star_mesh(
+    adj: list[dict[int, float]],
+    kill: list[float],
+    done: list[bool],
+    terminals: list[int],
+    verts: Sequence[int] | None = None,
+):
+    """The scalar elimination of ``adj`` over ``verts`` (the heart is
+    index len(adj)) in ``_PivotOrder``'s order, the dense rest as one
+    block.  Appends the floating roots to ``terminals``; returns the
+    order, stars, pivots and how many vertices the loop and the block
+    removed."""
+    n = len(adj)
     # step k eliminated order[k] with pivots[k] and stars[k], which is its
     # adjacency dict: nothing touches that once its vertex is gone
     order: list[int] = []
     stars: list[dict[int, float]] = []
     pivots: list[float] = []
-    rule = _PivotOrder(adj, done)
+    rule = _PivotOrder(adj, done, verts)
     stack, moved = rule.stack, rule.moved
     for u in rule:
         star = adj[u]
@@ -600,6 +802,7 @@ def eliminate(
                 moved.add(a)
         if kappa:
             star[n] = kappa
+    by_loop = len(order)
     rest = rule.rest
     if rest:
         # the held terminals next to the rest ride along as columns that
@@ -631,12 +834,74 @@ def eliminate(
             kap[k + 1 :] += w * kap[k] / d
         for k, t in enumerate(block[m:], m):
             kill[t] += float(kap[k])
+    return order, stars, pivots, by_loop, len(order) - by_loop
+
+
+def eliminate(
+    g: WeightedGraph,
+    held: Mapping[int, float] = {},
+    potential: np.ndarray | None = None,
+) -> Elimination:
+    """Eliminate every vertex not ``held`` by the star–mesh transform (Kron
+    reduction), with ``potential`` added to the killing term.
+
+    ``held`` maps vertex indices to values: the vertices held at 0 join the
+    heart, so their edges are killing term at the other end, and those
+    held at one nonzero value merge into one terminal.  Removing u with
+    neighbour weights w_a and pivot d joins each pair of its neighbours by
+    an edge of weight w_a w_b / d (an edge to the heart is killing term):
+    sums and products of positives only, so no digit cancels (GTH
+    elimination: Grassmann, Taksar & Heyman, Oper. Res. 33, 1985).  The
+    vertices go in ``_rounds`` while a round removes ``ROUND_MIN``, then
+    in ``_PivotOrder``'s order, the dense rest as one block.  A graph with
+    fewer than ``ROUND_MIN`` vertices to eliminate goes to the scalar loop
+    directly, folded in dicts.
+    """
+    n = g.size
+    c = g.killing_array if potential is None else g.killing_array + potential
+    if n - len(held) < ROUND_MIN:
+        kill = c.tolist()
+        adj = _adjacency(n, *g.edge_arrays)
+        done = [False] * n
+        # the first vertex held at each nonzero value is the terminal of all
+        # held at it; each other held vertex folds into its terminal, or into
+        # the heart n if held at 0, its edges and killing term moving along
+        first: dict[float, int] = {}
+        for t in sorted(held):
+            done[t] = True
+            v = first.setdefault(held[t], t) if held[t] else n
+            if v == t:
+                continue
+            if v < n:
+                kill[v] += kill[t]
+            kill[t] = 0.0
+            for a, w in adj[t].items():
+                near = adj[a]
+                del near[t]
+                if v == n:
+                    kill[a] += w
+                elif a != v:
+                    near[v] = adj[v][a] = near.get(v, 0.0) + w
+        terminals: list[int] = ([n] if any(kill) else []) + list(first.values())
+        order, stars, pivots, by_loop, by_block = _star_mesh(adj, kill, done, terminals)
+        grounding = [kill[t] for t in first.values()]
+        return Elimination(
+            np.array(order, dtype=np.intp), np.array(terminals, dtype=np.intp),
+            stars, pivots, np.array(grounding, dtype=float), by_loop=by_loop, by_block=by_block,
+        )
+    kill, first, (key, w) = _fold(n, g.edge_arrays, c, held)
+    terminals = ([n] if kill.any() else []) + list(first.values())
+    free = np.ones(n + 1, bool)
+    free[list(held)] = free[n] = False
+    rounds, roots, key, w = _rounds(n, key, w, free, kill)
+    terminals += roots
+    verts, adj = _remainder(n, key, w, free)
+    kill = kill.tolist()
+    order, stars, pivots, by_loop, by_block = _star_mesh(adj, kill, (~free).tolist(), terminals, verts)
     return Elimination(
-        np.array(order, dtype=np.intp),
-        np.array(terminals, dtype=np.intp),
-        stars,
-        pivots,
+        np.array(order, dtype=np.intp), np.array(terminals, dtype=np.intp), stars, pivots,
         np.array([kill[t] for t in first.values()], dtype=float),
+        tuple(rounds), sum(r.u.size for r in rounds), by_loop, by_block,
     )
 
 
@@ -663,23 +928,32 @@ class GroundedFactor:
         self.size = n = g.size
         self.held = {int(t): float(z) for t, z in held.items()}
         self._record = rec = eliminate(g, self.held, potential)
+        # the scalar steps read and write these vertices only (the heart
+        # among them); around those steps they are Python floats
+        touched = chain(rec.order.tolist(), chain.from_iterable(rec.stars))
+        self._near = near = np.array(sorted(set(touched)), np.intp)
         # a vertex takes the component of its first neighbour that is
         # neither held nor the heart (eliminated later), read in reverse
         # elimination order; one with none was the last of its component
-        label = [*range(n), -1]
-        for t in self.held:
-            label[t] = -1
+        label = np.arange(n + 1)
+        label[[*self.held, n]] = -1
+        lab = dict(zip(near.tolist(), label[near].tolist()))
         for u, star in zip(reversed(rec.order.tolist()), reversed(rec.stars)):
             for a in star:
-                if label[a] >= 0:
-                    label[u] = label[a]
+                if lab[a] >= 0:
+                    lab[u] = lab[a]
                     break
+        label[near] = list(lab.values())
+        for r in reversed(rec.rounds):
+            la, lb = label[r.a], label[r.b]
+            label[r.u] = np.where(la >= 0, la, np.where(lb >= 0, lb, r.u))
         #: component label of each vertex not held, -1 on held ones
-        self.component = np.array(label[:n])
+        self.component = label[:n]
         roots = [t for t in rec.terminals.tolist() if t < n and label[t] >= 0]
         self.floating = tuple(
             sorted((np.flatnonzero(self.component == t) for t in roots), key=lambda c: c[0])
         )
+        self._top = max([*rec.pivots, *(float(r.d.max()) for r in rec.rounds)], default=0.0)
 
     def solve(self, rhs: np.ndarray | None = None) -> np.ndarray:
         """Full-length real u with A u = ``rhs`` on the eliminated vertices,
@@ -689,33 +963,43 @@ class GroundedFactor:
         data are scaled by a power of two (exactly) and the solution scaled
         back, held to the data's range with 0 when only held values are
         given."""
-        rec = self._record
+        rec, n, near = self._record, self.size, self._near
         values = np.fromiter(self.held.values(), float, len(self.held))
         big = float(np.abs(values if rhs is None else np.append(values, rhs)).max(initial=0.0))
         # 2^1000 leaves headroom below the float maximum of ~2^1024
-        scale = math.ldexp(1.0, -math.frexp(big)[1]) if big * max(rec.pivots, default=0.0) > 2.0**1000 else 1.0
+        scale = math.ldexp(1.0, -math.frexp(big)[1]) if big * self._top > 2.0**1000 else 1.0
         values *= scale
         steps = list(zip(rec.order.tolist(), rec.stars, rec.pivots))
-        # slot n of x is the heart, held at zero like every terminal
-        x = [0.0] * (self.size + 1) if rhs is None else [*(rhs * scale).tolist(), 0.0]
+        # slot n of x is the heart, held at zero like every terminal; the
+        # rounds pass each missing neighbour's zero share to it too
+        x = np.zeros(n + 1) if rhs is None else np.append(rhs * scale, 0.0)
         if rhs is not None:
-            # forward: each step passes its share w_a / d of its entry on
+            # forward: each step passes its share w_a / d of its entry on,
+            # a round in one numpy step
+            for r in rec.rounds:
+                share = x[r.u] / r.d
+                np.add.at(x, r.a, r.wa * share)
+                np.add.at(x, r.b, r.wb * share)
+            xs = dict(zip(near.tolist(), x[near].tolist()))
             for u, star, d in steps:
-                share = x[u] / d
+                share = xs[u] / d
                 if share:
                     for a, w in star.items():
-                        x[a] += w * share
-        for t in rec.terminals.tolist():
-            x[t] = 0.0
-        for t, value in zip(self.held, values.tolist()):
-            x[t] = value
+                        xs[a] += w * share
+            x[near] = list(xs.values())
+        x[rec.terminals] = x[n] = 0.0
+        x[list(self.held)] = values
         # back: u = (b + sum_a w_a u_a) / d, latest step first
+        xs = dict(zip(near.tolist(), x[near].tolist()))
         for u, star, d in reversed(steps):
-            total = x[u]
+            total = xs[u]
             for a, w in star.items():
-                total += w * x[a]
-            x[u] = total / d
-        u = np.array(x[:-1])
+                total += w * xs[a]
+            xs[u] = total / d
+        x[near] = list(xs.values())
+        for r in reversed(rec.rounds):
+            x[r.u] = (x[r.u] + r.wa * x[r.a] + r.wb * x[r.b]) / r.d
+        u = x[:-1]
         for comp in self.floating:
             u[comp] -= u[comp].mean(axis=0)
         if scale != 1.0 and rhs is None:

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 import json
 import math
 
+import numpy as np
+
 from .core import Measure, WeightedGraph
 from .errors import ValidationError
 from .heart import HEART
@@ -94,6 +96,72 @@ def parse_document(text: str) -> GraphDocument:
     for key in sorted(set(raw) - _CANONICAL_KEYS):
         metadata.setdefault("unknown_fields", {})[key] = raw[key]
 
+    columns = None if violations else _columns(raw.get("vertices", []), raw.get("edges", []))
+    vertices, ii, jj, w, c, masses = columns or _rows(raw, violations)
+    g = WeightedGraph(vertices, ii, jj, w, c)
+    m = None
+    if masses is not None:
+        values = dict(zip(vertices, masses))
+        m = Measure(values, math.fsum(values.values()))
+    return GraphDocument(g, m, metadata, FORMAT_VERSION)
+
+
+_NUMBERS = {int, float}
+
+
+def _columns(vertex_rows, edge_rows) -> tuple | None:
+    """``_rows``'s result for rows that break no rule, read field by field
+    and checked column-wise with numpy; None when any row may break one
+    (the row loop then says which)."""
+    if not (isinstance(vertex_rows, list) and isinstance(edge_rows, list) and vertex_rows):
+        return None
+    try:
+        ids = [e["id"] for e in vertex_rows]
+        cs = [e.get("c", 0.0) for e in vertex_rows]
+        ms = [e.get("m") for e in vertex_rows if "m" in e]
+        us, vs, bs = ([e[k] for e in edge_rows] for k in "uvb")
+    except (AttributeError, KeyError, TypeError):
+        return None
+    n = len(ids)
+    if not (
+        set(map(type, ids)) == {str} and len(set(ids)) == n and HEART not in ids
+        and set(map(type, cs)) <= _NUMBERS and len(ms) in (0, n) and set(map(type, ms)) <= _NUMBERS
+        and set(map(type, us)) | set(map(type, vs)) <= {str} and set(map(type, bs)) <= _NUMBERS
+    ):
+        return None
+    vertices = tuple(sorted(ids))
+    at = dict(zip(vertices, range(n)))
+    try:
+        rows = np.fromiter(map(at.__getitem__, ids), np.intp, n)
+        ii = np.fromiter(map(at.__getitem__, us), np.intp, len(us))
+        jj = np.fromiter(map(at.__getitem__, vs), np.intp, len(vs))
+        c, m, w = (np.array(x, dtype=float) for x in (cs, ms, bs))
+    except (KeyError, OverflowError):
+        return None
+    # ids ascend with positions, so u < v is ii < jj (no self-loop either)
+    key = ii * n + jj
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if not (
+        np.isfinite(c).all() and (c >= 0).all() and np.isfinite(m).all() and (m > 0).all()
+        and np.isfinite(w).all() and (w > 0).all() and (ii < jj).all() and (key[1:] != key[:-1]).all()
+    ):
+        return None
+    killing = np.empty(n)
+    killing[rows] = c
+    masses = None
+    if ms:
+        masses = np.empty(n)
+        masses[rows] = m
+        masses = masses.tolist()
+    return vertices, ii[order], jj[order], w[order], killing, masses
+
+
+def _rows(raw: dict, violations: list[str]) -> tuple:
+    """The vertices (sorted by id), the edge arrays in order of their
+    ordered ids, the killing term and the masses (None unless every vertex
+    has one), read row by row; every broken rule is one violation, and
+    any violation raises them all."""
     # every id that passes the id checks is a vertex, whatever its values
     killing: dict[str, float | None] = {}
     mass: dict[str, float | None] = {}
@@ -158,13 +226,9 @@ def parse_document(text: str) -> GraphDocument:
     vertices = tuple(sorted(killing))
     at = dict(zip(vertices, range(len(vertices))))
     pairs = sorted(edges)  # by ordered ids, so by positions too
-    g = WeightedGraph(vertices, [at[u] for u, _ in pairs], [at[v] for _, v in pairs],
-                      list(map(edges.__getitem__, pairs)), list(map(killing.__getitem__, vertices)))
-    m = None
-    if len(mass) == len(vertices):
-        values = {v: mass[v] for v in vertices}
-        m = Measure(values, math.fsum(values.values()))
-    return GraphDocument(g, m, metadata, FORMAT_VERSION)
+    masses = [mass[v] for v in vertices] if len(mass) == len(vertices) else None
+    return (vertices, [at[u] for u, _ in pairs], [at[v] for _, v in pairs],
+            list(map(edges.__getitem__, pairs)), list(map(killing.__getitem__, vertices)), masses)
 
 
 def _tokens(values) -> list[str]:

@@ -13,7 +13,7 @@ files stay unambiguous.
 
 The all-pairs table comes from one star–mesh elimination in the (min, +)
 semiring (Carré, "An algebra for network routing problems", 1971), in
-the pivot order that ``core._PivotOrder`` gives ``core.eliminate`` too,
+the rounds and pivot order that ``core.eliminate`` takes too,
 and from ``core._sweep``, the reverse sweep that builds the resistance
 table as well, each written by vertex in place: this module gives it
 only the (min, +) row rule.  A single-source table is one run of
@@ -30,7 +30,21 @@ import math
 
 import numpy as np
 
-from .core import Measure, Vertex, VertexFunction, WeightedGraph, _PivotOrder, _sweep
+from .core import (
+    ROUND_MIN,
+    Measure,
+    Vertex,
+    VertexFunction,
+    WeightedGraph,
+    _adjacency,
+    _edge_key,
+    _PivotOrder,
+    _remainder,
+    _rounds,
+    _sorted_edges,
+    _steps,
+    _sweep,
+)
 from .errors import GraphlabError, UnknownVertexError, ValidationError
 
 INF = float("inf")
@@ -177,23 +191,34 @@ def _min_plus_table(n: int, ii: np.ndarray, jj: np.ndarray, lens: np.ndarray) ->
 
     Removing u joins each pair of its neighbours a, b by
     min(len(a, b), len(a, u) + len(u, b)), which keeps every distance
-    between the vertices left.  The order is ``core._PivotOrder``'s, the
-    dense rest as one numpy block.  A vertex with no neighbours left is a
-    terminal, one per component.  The reverse sweep (``core._sweep``)
+    between the vertices left.  Graphs large enough take ``core._rounds``
+    first, as ``core.eliminate`` does (a series move adds the two lengths,
+    a parallel merge takes the minimum); then the order is
+    ``core._PivotOrder``'s, the dense rest as one numpy block.  A vertex
+    with no neighbours left is a terminal, one per component.  The reverse sweep (``core._sweep``)
     then reads d(v, .) = min_a (len(v, a) + d(a, .)) over v's star at its
     removal, whose members were all removed later, so their rows are
     known: a shortest path from v leaves through one of them and never
     comes back.  Lengths are only added, never subtracted.
     """
-    adj: list[dict[int, float]] = [{} for _ in range(n)]
-    for i, j, length in zip(ii.tolist(), jj.tolist(), lens.tolist()):
-        adj[i][j] = adj[j][i] = length
+    # the rounds first, on graphs large enough to fill one; the scalar
+    # loop then runs on what they leave
+    rounds: list = []
+    terminals: list[int] = []
+    if n < ROUND_MIN:
+        verts, adj, done = None, _adjacency(n, ii, jj, lens), [False] * n
+    else:
+        free = np.ones(n + 1, bool)
+        free[n] = False
+        key, lens = _sorted_edges(_edge_key(ii, jj), lens, np.minimum)
+        rounds, terminals, key, lens = _rounds(n, key, lens, free)
+        verts, adj = _remainder(n, key, lens, free)
+        done = (~free).tolist()
     # step k removed order[k]; stars[k] is its adjacency dict then, which
     # nothing touches once its vertex is gone
-    terminals: list[int] = []
     order: list[int] = []
     stars: list[dict[int, float]] = []
-    rule = _PivotOrder(adj, [False] * n)
+    rule = _PivotOrder(adj, done, verts)
     stack, moved = rule.stack, rule.moved
     for u in rule:
         star = adj[u]
@@ -235,7 +260,7 @@ def _min_plus_table(n: int, ii: np.ndarray, jj: np.ndarray, lens: np.ndarray) ->
         block += star_lens[:, None]
         block.min(axis=0, out=out)
 
-    return _sweep(n, terminals, order, stars, row)
+    return _sweep(n, terminals, *_steps(n, rounds, order, stars), row)
 
 
 def dijkstra(*args, **kwargs):

@@ -189,7 +189,8 @@ def all_pairs_rho(g: WeightedGraph) -> np.ndarray:
         raise InfiniteResistanceError(
             "all-pairs table undefined across zero-energy components"
         )
-    pivots = rec.pivots
+    *steps, pivots = rec.flat(g.size)
+    pivots = pivots.tolist()
 
     def row(step, near, w, T, out):
         l = w / pivots[step]
@@ -197,7 +198,7 @@ def all_pairs_rho(g: WeightedGraph) -> np.ndarray:
         # sum_{a,b} l_a l_b r(a, b), read off the row before the shift
         out += 1.0 / pivots[step] - 0.5 * float(l @ out[near])
 
-    r = _sweep(g.size, rec.terminals, rec.order, rec.stars, row)
+    r = _sweep(g.size, rec.terminals, *steps, row)
     np.maximum(r, 0.0, out=r)
     return np.sqrt(r, out=r)
 

@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,15 +27,19 @@ from graphlab.errors import DomainMismatchError, UnknownVertexError, ValidationE
 from graphlab.families import FamilySpec, make
 from graphlab.harmonic import DirichletProblem, solve_dirichlet
 from graphlab.metrics import path_metric
+from graphlab.resistance import all_pairs_rho
 
 from conftest import (
     assert_close,
     assert_rel,
     dijkstra_table,
+    exact_solve,
     path_graph,
     random_connected_graph,
     random_function,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestValidation:
@@ -461,3 +468,203 @@ class TestGroundedFactor:
             )
             assert np.array_equal(u[fixed], phi)
             assert np.abs(u[free] - want).max() <= 1e-10 * (1 + np.abs(want).max())
+
+
+# ---------------------------------------------------------------- rounds
+
+
+def _rounds_graph(rng, kind: str, with_killing: bool) -> WeightedGraph:
+    """Seeded graphs large enough to take rounds, with log-uniform weights
+    and, if asked, killing term on about one vertex in six."""
+    if kind == "path":
+        pairs = [(i, i + 1) for i in range(299)]
+    elif kind == "comb":
+        # spine 0..14, a tooth of 20 vertices below each spine vertex
+        pairs = [(i, i + 1) for i in range(14)]
+        for i in range(15):
+            tooth = [i] + [15 + 20 * i + k for k in range(20)]
+            pairs += list(zip(tooth, tooth[1:]))
+    elif kind == "tree":
+        pairs = [(int(rng.integers(0, k)), k) for k in range(1, 300)]
+    elif kind == "strip":
+        # a strip of triangles: spine 0..149, and vertex 150 + i joined to
+        # spine vertices i and i + 1 (its series move makes a parallel edge)
+        pairs = [(i, i + 1) for i in range(149)]
+        pairs += [(i, 150 + i) for i in range(149)] + [(i + 1, 150 + i) for i in range(149)]
+    elif kind == "chords":
+        pairs = [(i, (i + 1) % 300) for i in range(300)]
+        pairs += [(int(a), int(a) + 40 + int(rng.integers(0, 150))) for a in rng.integers(0, 100, 5)]
+    else:  # several components: a path, a tree and a cycle with one chord
+        pairs = [(i, i + 1) for i in range(99)]
+        pairs += [(100 + int(rng.integers(0, k)), 100 + k) for k in range(1, 100)]
+        pairs += [(200 + i, 200 + (i + 1) % 100) for i in range(100)] + [(200, 250)]
+    n = 1 + max(max(p) for p in pairs)
+    weights = np.exp(rng.uniform(np.log(0.25), np.log(4.0), len(pairs)))
+    killing = rng.uniform(0.1, 2.0, n) * (rng.random(n) < 1 / 6) if with_killing else None
+    ii, jj = np.array(pairs).T
+    return WeightedGraph([str(i) for i in range(n)], ii, jj, weights, killing)
+
+
+ROUND_KINDS = ("path", "comb", "tree", "strip", "chords", "components")
+
+
+def _held_sets(rng, n):
+    """Held maps: a few vertices at 0 and one at 1 (a capacity), five at
+    one value, eight at values with repeats and zeros."""
+    picked = [int(i) for i in rng.choice(n, 8, replace=False)]
+    return (
+        {**dict.fromkeys(picked[:4], 0.0), picked[4]: 1.0},
+        dict.fromkeys(picked[:5], 1.5),
+        {t: float(k % 3) - 0.5 * (k % 2) for k, t in enumerate(picked)},
+    )
+
+
+def _exact_grounding(g, held):
+    """Each held terminal's weight to the heart in exact rationals, the
+    vertices held at 0 merged into it and each class of one nonzero value
+    merged into its first member."""
+    from conftest import _GROUND, _exact_network, _exact_star_mesh
+
+    cond = _exact_network(g, merge=[g.vertices[t] for t, z in held.items() if z == 0.0])
+    firsts = []
+    for z in dict.fromkeys(held[t] for t in sorted(held) if held[t]):
+        first, *rest = (g.vertices[t] for t in sorted(held) if held[t] == z)
+        firsts.append(first)
+        for other in rest:
+            for a, w in cond.pop(other).items():
+                del cond[a][other]
+                if a != first:
+                    cond[first][a] = cond[a][first] = cond[first].get(a, 0) + w
+    _exact_star_mesh(g, cond, {*firsts, _GROUND})
+    return [cond[t].get(_GROUND, 0) for t in firsts]
+
+
+def _close(got, want, tol=1e-12):
+    want = np.array([float(x) for x in want])
+    assert np.abs(np.asarray(got) - want).max() <= tol * max(np.abs(want).max(), 1e-300)
+
+
+class TestRounds:
+    @pytest.mark.parametrize("kind", ROUND_KINDS)
+    def test_grounding_matches_exact_rationals(self, kind):
+        rng = np.random.default_rng(23)
+        for with_killing in (False, True):
+            g = _rounds_graph(rng, kind, with_killing)
+            potential = rng.uniform(0.0, 1.0, g.size) * (rng.random(g.size) < 0.1)
+            for held in _held_sets(rng, g.size):
+                rec = eliminate(g, held, potential)
+                assert rec.n_rounds >= 1 and rec.by_rounds >= 64
+                h = WeightedGraph(g.vertices, *g.edge_arrays, g.killing_array + potential)
+                _close(rec.grounding, _exact_grounding(h, held))
+
+    @pytest.mark.parametrize("kind", ROUND_KINDS)
+    def test_solve_matches_exact_rationals(self, kind):
+        # floating components (no killing term, nothing held), vertices
+        # held at 0 and 1 with killing term, and values with repeats
+        rng = np.random.default_rng(29)
+        for with_killing, pick in ((False, None), (True, 0), (False, 2)):
+            g = _rounds_graph(rng, kind, with_killing)
+            held = {} if pick is None else _held_sets(rng, g.size)[pick]
+            factor = GroundedFactor(g, held)
+            assert factor._record.by_rounds >= 64
+            # integer data, summing to zero on each floating component
+            rhs = rng.integers(-3, 4, g.size).astype(float)
+            for comp in factor.floating:
+                rhs[comp[0]] -= rhs[comp].sum()
+            rhs[list(held)] = 0.0
+            fixed = {g.vertices[t]: z for t, z in held.items()}
+            for b in (None, rhs) if held else (rhs,):
+                want = exact_solve(g, None if b is None else dict(zip(g.vertices, b.tolist())), fixed)
+                _close(factor.solve(b), [want[v] for v in g.vertices])
+
+    def test_floating_components_take_the_rounds(self):
+        g = _rounds_graph(np.random.default_rng(31), "components", False)
+        factor = GroundedFactor(g)
+        assert factor._record.by_rounds >= 64
+        assert [comp.tolist() for comp in factor.floating] == [
+            list(range(0, 100)), list(range(100, 200)), list(range(200, 300))
+        ]
+        # 120 single edges: one round takes an end of each, the next finds
+        # the other ends alone, each the root of its floating component
+        rng = np.random.default_rng(43)
+        g = WeightedGraph([str(i) for i in range(240)], range(0, 240, 2), range(1, 240, 2),
+                          rng.uniform(0.5, 2.0, 120))
+        factor = GroundedFactor(g)
+        rec = factor._record
+        assert (rec.n_rounds, rec.by_rounds, rec.terminals.size) == (1, 120, 120)
+        assert [comp.tolist() for comp in factor.floating] == [[i, i + 1] for i in range(0, 240, 2)]
+        rhs = np.repeat(rng.integers(-3, 4, 120), 2) * np.tile([1.0, -1.0], 120)
+        want = exact_solve(g, dict(zip(g.vertices, rhs.tolist())))
+        _close(factor.solve(rhs), [want[v] for v in g.vertices])
+
+    @pytest.mark.parametrize("kind", ("path", "comb", "tree"))
+    def test_resistance_table_squared_is_the_path_metric_on_trees(self, kind):
+        g = _rounds_graph(np.random.default_rng(37), kind, False)
+        d = path_metric(g).dist
+        assert eliminate(g).by_rounds >= 64
+        assert_rel(d, dijkstra_table(g), 1e-13)
+        r = all_pairs_rho(g) ** 2
+        assert np.abs(r - d).max() <= 1e-12 * d.max()
+
+    @pytest.mark.parametrize("kind", ROUND_KINDS)
+    def test_resistance_table_with_killing_term_matches_the_inverse(self, kind):
+        # the heart enters the stars of round vertices with killing term;
+        # the dense inverse is the (cancelling, well-conditioned) reference
+        g = _rounds_graph(np.random.default_rng(47), kind, True)
+        assert eliminate(g).by_rounds >= 64
+        G = np.linalg.inv(quadratic_form_matrix(g))
+        want = np.diag(G)[:, None] + np.diag(G)[None, :] - 2.0 * G
+        assert np.abs(all_pairs_rho(g) ** 2 - want).max() <= 1e-10 * want.max()
+
+    @pytest.mark.parametrize("kind", ROUND_KINDS)
+    def test_path_metric_matches_dijkstra(self, kind):
+        g = _rounds_graph(np.random.default_rng(41), kind, False)
+        got = path_metric(g).dist
+        assert np.array_equal(got, got.T)
+        assert_rel(got, dijkstra_table(g), 1e-13)
+
+    def test_elimination_says_which_route_its_vertices_took(self):
+        rec = eliminate(TestEliminate.petersen_with_tail())
+        assert (rec.n_rounds, rec.by_rounds, rec.by_loop, rec.by_block) == (0, 0, 4, 7)
+        fam = make(FamilySpec("comb"))
+        ball = fam.build_ball(446)
+        g = ball.graph
+        held = dict.fromkeys((g.index[v] for v in ball.frontier), 0.0)
+        held[g.index[fam.origin]] = 1.0
+        rec = eliminate(g, held)
+        free = g.size - len(held)
+        assert all(type(k) is int for k in (rec.n_rounds, rec.by_rounds, rec.by_loop, rec.by_block))
+        assert rec.by_rounds + rec.by_loop + rec.by_block == free
+        assert rec.by_rounds >= 0.99 * free
+
+    def test_records_do_not_depend_on_the_string_hash(self):
+        script = (
+            "import hashlib, numpy as np\n"
+            "from graphlab.families import FamilySpec, make\n"
+            "from graphlab.core import eliminate, GroundedFactor\n"
+            "from graphlab.metrics import path_metric\n"
+            "h = hashlib.sha256()\n"
+            "for name in ('comb', 'triangle_ladder', 'twin_rays'):\n"
+            "    fam = make(FamilySpec(name))\n"
+            "    ball = fam.build_ball(30)\n"
+            "    g = ball.graph\n"
+            "    held = dict.fromkeys((g.index[v] for v in ball.frontier), 0.0)\n"
+            "    held[g.index[fam.origin]] = 1.0\n"
+            "    rec = eliminate(g, held)\n"
+            "    h.update(repr((rec.order.tolist(), rec.terminals.tolist(), rec.stars, rec.pivots,\n"
+            "                   rec.grounding.tolist())).encode())\n"
+            "    for r in rec.rounds:\n"
+            "        for a in r:\n"
+            "            h.update(np.ascontiguousarray(a).tobytes())\n"
+            "    h.update(GroundedFactor(g, held).solve().tobytes())\n"
+            "    h.update(path_metric(g).dist.tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        outs = set()
+        for seed in ("0", "4242"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            outs.add(done.stdout)
+        assert len(outs) == 1

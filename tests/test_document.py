@@ -1,6 +1,7 @@
 """Canonical graph documents: round trips, validation, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from graphlab.cli import main
 from graphlab.core import WeightedGraph
 from graphlab.document import (
+    _columns,
+    _rows,
     document_from_graph,
     graph_from_document,
     parse_document,
@@ -212,19 +215,37 @@ def test_gen_text_round_trips_where_string_order_flips_edges(family, measure, tm
 
 def test_parse_gives_the_arrays_of_build_on_the_same_rows(rng):
     # ids 0..n-1 with n > 10, so "10" sorts before "2": positions follow the
-    # string order, not the numeric one; rows come shuffled
-    for trial in range(30):
+    # string order, not the numeric one; rows come shuffled, with masses on
+    # every third document and integer values on every fourth
+    for trial in range(40):
         g = random_connected_graph(rng, int(rng.integers(11, 40)), with_killing=bool(trial % 2))
-        vrows = [{"id": v, "c": c} for v, c in g.killing.items()]
-        erows = [{"u": min(u, v), "v": max(u, v), "b": b} for (u, v), b in g.edges.items()]
-        doc = {
+        m = random_measure(rng, g) if trial % 3 == 0 else None
+        value = round if trial % 4 == 0 else float
+        vrows = [{"id": v, "c": value(c)} for v, c in g.killing.items()]
+        if m is not None:
+            for row in vrows:
+                row["m"] = m[row["id"]]
+        erows = [{"u": min(u, v), "v": max(u, v), "b": value(b) or 1} for (u, v), b in g.edges.items()]
+        raw = {
             "format_version": 1,
             "vertices": [vrows[k] for k in rng.permutation(len(vrows))],
             "edges": [erows[k] for k in rng.permutation(len(erows))],
         }
-        got = parse_document(json.dumps(doc)).graph
+        doc = parse_document(json.dumps(raw))
+        got = doc.graph
         edges = dict(sorted(((r["u"], r["v"]), r["b"]) for r in erows))
-        want = WeightedGraph.build(sorted(g.vertices), edges, g.killing)
+        want = WeightedGraph.build(sorted(g.vertices), edges, {r["id"]: r["c"] for r in vrows})
         assert got.vertices == want.vertices != tuple(sorted(g.vertices, key=int))
         for a, b in zip((*got.edge_arrays, got.killing_array), (*want.edge_arrays, want.killing_array)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+        if m is None:
+            assert doc.measure is None
+        else:
+            assert doc.measure.values == m.values and list(doc.measure.values) == list(got.vertices)
+            assert doc.measure.total == math.fsum(m[v] for v in got.vertices)
+        # the column reader gives what the row loop gives, value for value
+        columns = _columns(raw["vertices"], raw["edges"])
+        rows = _rows(raw, [])
+        assert columns[0] == rows[0] and columns[5] == rows[5]
+        for a, b in zip(columns[1:5], rows[1:5]):
+            assert np.array_equal(a, b)
