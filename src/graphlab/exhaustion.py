@@ -67,13 +67,33 @@ def induced_subgraph(g: WeightedGraph, subset: Iterable[Vertex]) -> WeightedGrap
         keep[[at[v] for v in subset]] = True
     except KeyError:
         raise ValidationError(["subset contains vertices not in the graph"]) from None
+    return _restrict(g, keep)[0]
+
+
+def _restrict(g: WeightedGraph, keep: np.ndarray) -> tuple[WeightedGraph, np.ndarray]:
+    """The graph on the vertices ``keep`` marks, and each vertex's position
+    in it (read only at kept vertices)."""
     ii, jj, w = g.edge_arrays
     inside = keep[ii] & keep[jj]
     position = np.cumsum(keep, dtype=np.intp) - 1
-    return WeightedGraph(
+    sub = WeightedGraph(
         compress(g.vertices, keep.tolist()), position[ii[inside]], position[jj[inside]],
         w[inside], g.killing_array[keep],
     )
+    return sub, position
+
+
+def cut_ball(g: WeightedGraph, level: np.ndarray, n: int) -> tuple[WeightedGraph, np.ndarray, np.ndarray]:
+    """Ball ``n`` cut from ``g``, a larger ball whose vertices entered at
+    ``level``: the vertices of level at most ``n`` in ``g``'s vertex and edge
+    order, the positions in it of its frontier (the vertices adjacent to
+    one of level ``n``+1), and the levels of its vertices."""
+    keep = level <= n
+    sub, position = _restrict(g, keep)
+    ii, jj, _ = g.edge_arrays
+    a, b = level[ii], level[jj]
+    rim = np.union1d(ii[(a <= n) & (b == n + 1)], jj[(b <= n) & (a == n + 1)])
+    return sub, position[rim], level[keep]
 
 
 #: consecutive increments below tolerance that make a sequence converged
@@ -128,13 +148,41 @@ def _status(values: Sequence[float], tolerance: float) -> str:
     return "converged" if all(inc < tolerance for inc in tail) else "inconclusive"
 
 
-@dataclass(frozen=True)
 class Ball:
-    """One level of an exhaustion: its graph, frontier and optional measure."""
+    """One level of an exhaustion: its graph, frontier and optional measure.
 
-    graph: WeightedGraph
-    frontier: frozenset
-    measure: Measure | None = None
+    ``measure`` may be given as a function of no arguments, called on the
+    first read.  ``level``, when the family knows it, holds the level at
+    which each vertex entered, in vertex order.  ``frontier_at`` holds the
+    frontier's positions in the graph; when not given, the first read
+    finds them from ``frontier``.
+    """
+
+    __slots__ = ("graph", "frontier", "level", "_measure", "_frontier_at")
+
+    def __init__(
+        self,
+        graph: WeightedGraph,
+        frontier: frozenset,
+        measure: Measure | Callable[[], Measure] | None = None,
+        level: np.ndarray | None = None,
+        frontier_at: np.ndarray | None = None,
+    ):
+        self.graph, self.frontier, self.level = graph, frontier, level
+        self._measure, self._frontier_at = measure, frontier_at
+
+    @property
+    def measure(self) -> Measure | None:
+        if callable(self._measure):
+            self._measure = self._measure()
+        return self._measure
+
+    @property
+    def frontier_at(self) -> np.ndarray:
+        if self._frontier_at is None:
+            at = self.graph.index
+            self._frontier_at = np.array([at[v] for v in self.frontier], dtype=np.intp)
+        return self._frontier_at
 
 
 @dataclass(frozen=True)
@@ -165,10 +213,14 @@ class AnalyticFacts:
 class GraphFamily:
     """An exhaustion generator: increasing balls with consistent weights.
 
-    ``build_ball(n)`` must satisfy: vertex sets increase with ``n``, edge
-    weights agree on common pairs, and the frontier of level ``n`` is
-    exactly the set of level-``n`` vertices adjacent to new vertices at
-    level ``n``+1.  A negative ``n`` raises ValidationError.
+    ``build_ball(n)`` must satisfy: ball ``m`` is ball ``n`` (``n`` >= ``m``)
+    restricted to ball ``m``'s vertices, in ball ``n``'s vertex and edge
+    order, with the same weights and killing terms; and the frontier of
+    level ``n`` is exactly the set of level-``n`` vertices adjacent to new
+    vertices at level ``n``+1.  A negative ``n`` raises ValidationError.
+    ``reach(n)``, when given, builds ball ``n``'s graph ahead, unchecked,
+    so that every smaller ball is cut from it; ``climb`` calls it with the
+    top of a ladder that it walks to the end.
     """
 
     name: str
@@ -176,6 +228,7 @@ class GraphFamily:
     build_ball: Callable[[int], Ball]
     facts: AnalyticFacts | None = None
     spine: Callable[[int], Vertex] | None = None
+    reach: Callable[[int], None] | None = None
 
     def find_level(self, targets: Iterable[Vertex], max_level: int = 256) -> int:
         """Smallest level whose ball contains all target vertices."""
@@ -201,6 +254,12 @@ def check_family_consistency(fam: GraphFamily, levels: Sequence[int]) -> None:
             raise ValidationError([f"{fam.name}: edge weights disagree between levels {m} and {n}"])
         if common.killing != prev.killing:
             raise ValidationError([f"{fam.name}: killing terms disagree between levels {m} and {n}"])
+        if common.vertices != prev.vertices or not all(
+            map(np.array_equal, (*common.edge_arrays, common.killing_array),
+                (*prev.edge_arrays, prev.killing_array))
+        ):
+            raise ValidationError([f"{fam.name}: ball {m} is not ball {n} restricted to its "
+                                   f"vertices in ball {n}'s vertex and edge order"])
     for n in levels:
         here, nxt = fam.build_ball(n), fam.build_ball(n + 1).graph
         new = set(nxt.vertices) - set(here.graph.vertices)
@@ -219,12 +278,15 @@ def climb(fam: GraphFamily, levels: Iterable[int], value: Callable[[int, Ball], 
     ``None`` value skips its level.  A step against the declared ``trend``
     (+1 nondecreasing, -1 nonincreasing) by more than 1e-10, or a value
     that is not finite, raises ConsistencyError; with ``stop`` the walk
-    ends at the first converged level.  An empty ladder, or one where no
-    level gave a value, raises ValidationError.  Returns the levels that
-    gave a value and their report."""
+    ends at the first converged level, and without it the family reaches
+    the top level first.  An empty ladder, or one where no level gave a
+    value, raises ValidationError.  Returns the levels that gave a value
+    and their report."""
     _require_tolerance(tolerance)
     if not (levels := sorted(set(levels))):
         raise ValidationError([f"{fam.name}: the level ladder is empty"])
+    if fam.reach is not None and not stop:
+        fam.reach(levels[-1])
     used, values = [], []
     for n in levels:
         if (v := value(n, fam.build_ball(n))) is None:

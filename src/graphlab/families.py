@@ -1,14 +1,18 @@
 """Named graph families with certified analytic facts.
 
-Each family supplies ``ball_at(n) -> (graph, frontier)`` and the
-closed-form knowledge that finite computation cannot recover: diameter
-bounds, tail sums, separated sets, and per-condition compactness
-verdicts.  One builder, ``_exhaustion``, turns ``ball_at`` into the
-family's ``build_ball``: it memoises every ball, refuses negative levels
-and balls whose weights are not all finite and positive, and attaches
-the measure rule.  Balls are built as edge arrays (the
-``WeightedGraph`` constructor), in a fixed vertex and edge order that
-fixes every pivot of an elimination downstream.  Vertex identifiers
+Each family supplies ``ball_at(n)``, ball ``n``'s graph with the
+positions of its frontier and the level at which each of its vertices
+entered, and the closed-form knowledge that finite computation cannot
+recover: diameter bounds, tail sums, separated sets, and per-condition
+compactness verdicts.  One builder, ``_exhaustion``, turns ``ball_at``
+into the family's ``build_ball``: it keeps only the largest graph built
+and cuts every smaller ball from it (ball ``m`` is ball ``n`` restricted
+to the vertices of level at most ``m``, in ball ``n``'s order), refuses
+negative levels and balls whose weights are not all finite and positive,
+and attaches the measure rule, whose measure is made when first read.
+Balls are built as edge arrays (the ``WeightedGraph`` constructor), in a
+fixed vertex and edge order that fixes every pivot of an elimination
+downstream.  Vertex identifiers
 encode family coordinates as strings (tooth ``n``, depth ``k`` becomes
 ``"n:k"``) so examples stay addressable from the command line.  Only ``ray_power`` with
 an exponent above 1 imports scipy, for the ζ values of its facts.
@@ -26,14 +30,7 @@ import numpy as np
 
 from .core import Measure, Vertex, VertexFunction, WeightedGraph
 from .errors import FamilyError, ValidationError
-from .exhaustion import (
-    AnalyticFacts,
-    Ball,
-    GraphFamily,
-    ball as hop_ball,
-    hop_distances,
-    induced_subgraph,
-)
+from .exhaustion import AnalyticFacts, Ball, GraphFamily, cut_ball, hop_distances
 
 MEASURE_RULES = ("unit", "canonical", "geometric")
 
@@ -48,28 +45,24 @@ class FamilySpec:
     measure_param: float | None = None
 
 
-def _measure_for(
-    spec: FamilySpec,
-    graph: WeightedGraph,
-    origin: Vertex,
-    deeper: Callable[[], WeightedGraph],
-) -> Measure:
-    """Measure on a ball under the family spec's measure rule.
-
-    Canonical masses count every neighbor, including the ones one level
-    deeper, so that rule alone calls ``deeper`` for the next ball's graph.
-    """
+def _measure_rule(spec: FamilySpec, origin: Vertex) -> Callable[[WeightedGraph, Callable], Measure]:
+    """The spec's measure rule, as ``rule(graph, deeper)``: the measure on a
+    ball.  Canonical masses count every neighbor, including the ones one
+    level deeper, so that rule alone calls ``deeper`` for the next ball's
+    graph."""
     if spec.measure == "unit":
-        return Measure.unit(graph)
+        return lambda graph, deeper: Measure.unit(graph)
     if spec.measure == "canonical":
-        return Measure.canonical(deeper()).restrict(graph.vertices)
-    if spec.measure == "geometric":
-        q = spec.measure_param
-        if q is None or not (0 < q < 1):
-            raise FamilyError("geometric measure needs a ratio in (0,1)")
+        return lambda graph, deeper: Measure.canonical(deeper()).restrict(graph.vertices)
+    q = spec.measure_param
+    if q is None or not (0 < q < 1):
+        raise FamilyError("geometric measure needs a ratio in (0,1)")
+
+    def geometric(graph: WeightedGraph, deeper: Callable) -> Measure:
         dist = hop_distances(graph, origin)
         return Measure.from_mapping({v: q ** dist[v] for v in graph.vertices})
-    raise FamilyError(f"unknown measure rule {spec.measure!r}")
+
+    return geometric
 
 
 def _integer(spec: FamilySpec, k: int, what: str, low: int, default: int | None = None) -> int:
@@ -94,7 +87,7 @@ def _real(spec: FamilySpec, k: int, what: str, positive: bool = False,
     return float(x)
 
 
-_BallAt = Callable[[int], tuple[WeightedGraph, frozenset]]
+_BallAt = Callable[[int], tuple[WeightedGraph, np.ndarray, np.ndarray]]
 
 
 def _exhaustion(
@@ -107,36 +100,53 @@ def _exhaustion(
 ) -> GraphFamily:
     """A family whose ball ``n`` is ``ball_at(n)`` with the spec's measure.
 
-    Every ``(graph, frontier)`` is built once; ball ``n``+1's graph is read
-    only when the measure rule needs it.  A ball with a weight that is not
-    finite and positive raises FamilyError naming one such edge.
+    ``ball_at(n)`` gives ball ``n``'s graph, its frontier's positions and
+    its vertices' levels.  Only the largest graph built is kept, and every
+    smaller ball is cut from it; ball ``n``+1's graph is read only when the
+    measure rule needs it.  A ball with a weight that is not finite and
+    positive raises FamilyError naming one such edge; the check runs on
+    each ball as it is returned, so it names the first one asked for that
+    holds the edge.
     """
-    ball_at = lru_cache(maxsize=None)(ball_at)
+    rule = _measure_rule(spec, origin)
+    largest, built = -1, None  # the largest level built, and ball_at's value there
+
+    def reach(n: int) -> None:
+        nonlocal largest, built
+        if n > largest:
+            built = ball_at(n)
+            largest = n
+
+    def graph_at(n: int) -> tuple[WeightedGraph, np.ndarray, np.ndarray]:
+        reach(n)
+        return built if n == largest else cut_ball(built[0], built[2], n)
 
     @lru_cache(maxsize=None)
     def build_ball(n: int) -> Ball:
         if n < 0:
             raise ValidationError([f"exhaustion level must be nonnegative, got {n}"])
-        graph, frontier = ball_at(n)
+        graph, frontier_at, level = graph_at(n)
         ii, jj, w = graph.edge_arrays
+        vs = graph.vertices
         if bad := np.flatnonzero(~((0 < w) & (w < math.inf))).tolist():
-            k, vs = bad[0], graph.vertices
+            k = bad[0]
             raise FamilyError(f"{name} ball {n}: edge ({vs[ii[k]]!r},{vs[jj[k]]!r}) has weight "
                               f"{w[k]}, but family weights must be finite and positive")
-        m = _measure_for(spec, graph, origin, lambda: ball_at(n + 1)[0])
-        return Ball(graph, frontier, m)
+        frontier = frozenset(map(vs.__getitem__, frontier_at.tolist()))
 
-    return GraphFamily(name, origin, build_ball, facts, spine)
+        def measure() -> Measure:
+            return rule(graph, lambda: graph_at(n + 1)[0])
+
+        return Ball(graph, frontier, measure, level, frontier_at)
+
+    return GraphFamily(name, origin, build_ball, facts, spine, reach)
 
 
 def _hop_balls(g: WeightedGraph, origin: Vertex) -> _BallAt:
     """Balls of hop radius ``n`` around ``origin`` in a finite graph."""
-
-    def ball_at(n: int) -> tuple[WeightedGraph, frozenset]:
-        members, frontier = hop_ball(g, origin, n)
-        return induced_subgraph(g, members), frozenset(frontier)
-
-    return ball_at
+    dist = hop_distances(g, origin)
+    level = np.array([dist[v] for v in g.vertices], dtype=np.intp)
+    return lambda n: cut_ball(g, level, n)
 
 
 def _labels(prefix: str, ks: range) -> map:
@@ -158,8 +168,9 @@ def _ray_graph(p: float, top: int) -> WeightedGraph:
 def _make_ray_power(spec: FamilySpec) -> GraphFamily:
     p = _real(spec, 0, "exponent")
 
-    def ball_at(n: int) -> tuple[WeightedGraph, frozenset]:
-        return _ray_graph(p, n + 1), frozenset({str(n + 1)})
+    def ball_at(n: int) -> tuple[WeightedGraph, np.ndarray, np.ndarray]:
+        # vertex k enters at level k - 1
+        return _ray_graph(p, n + 1), np.array([n], np.intp), np.arange(n + 1)
 
     facts_kwargs: dict = {"is_tree": True, "locally_finite": True}
     if p > 1:
@@ -200,17 +211,22 @@ def _make_ray_power(spec: FamilySpec) -> GraphFamily:
 
 
 def _make_comb(spec: FamilySpec) -> GraphFamily:
-    def ball_at(r: int) -> tuple[WeightedGraph, frozenset]:
+    def ball_at(r: int) -> tuple[WeightedGraph, np.ndarray, np.ndarray]:
         power = [2.0**k for k in range(r + 1)]
         vertices: list[str] = []
+        level: list[int] = []
+        tips: list[int] = []
         ii: list[int] = []
         jj: list[int] = []
         w: list[float] = []
         for n in range(r + 1):
-            # tooth n is n:0 .. n:(r-n) from position s, edge (n:(k-1), n:k)
-            # of weight 2^k, then the spine edge ((n-1):0, n:0) of weight 2^n
+            # tooth n is n:0 .. n:(r-n) from position s (n:k enters at level
+            # n+k), edge (n:(k-1), n:k) of weight 2^k, then the spine edge
+            # ((n-1):0, n:0) of weight 2^n
             s = len(vertices)
             vertices += _labels(f"{n}:", range(r + 1 - n))
+            level += range(n, r + 1)
+            tips.append(s + r - n)
             ii += range(s, s + r - n)
             jj += range(s + 1, s + r + 1 - n)
             w += power[1 : r + 1 - n]
@@ -221,7 +237,7 @@ def _make_comb(spec: FamilySpec) -> GraphFamily:
             spine = s
         graph = WeightedGraph(vertices, ii, jj, w)
         # the tips n:(r-n) of the teeth and of the spine grow at level r+1
-        return graph, frozenset(f"{n}:{r - n}" for n in range(r + 1))
+        return graph, np.array(tips, np.intp), np.array(level, np.intp)
 
     facts = AnalyticFacts(
         is_tree=True,
@@ -240,15 +256,18 @@ def _make_comb(spec: FamilySpec) -> GraphFamily:
 
 
 def _make_triangle_ladder(spec: FamilySpec) -> GraphFamily:
-    def ball_at(L: int) -> tuple[WeightedGraph, frozenset]:
-        # spine vertex n sits at position n - 1, detour n:k at s + k - 1
+    def ball_at(L: int) -> tuple[WeightedGraph, np.ndarray, np.ndarray]:
+        # spine vertex n sits at position n - 1 and enters at level n - 1,
+        # detour n:k at s + k - 1 and level n
         vertices = list(map(str, range(1, L + 2)))
+        level = list(range(L + 1))
         ii: list[int] = []
         jj: list[int] = []
         w: list[float] = []
         for n in range(1, L + 1):
             s = len(vertices)
             vertices += _labels(f"{n}:", range(1, n + 1))
+            level += [n] * n
             ii.append(n - 1)
             jj.append(n)
             w.append(n / 2.0)
@@ -257,7 +276,7 @@ def _make_triangle_ladder(spec: FamilySpec) -> GraphFamily:
             jj += chain.from_iterable(zip(detours, repeat(n)))
             w += [float(n)] * (2 * n)
         graph = WeightedGraph(vertices, ii, jj, w)
-        return graph, frozenset({str(L + 1)})
+        return graph, np.array([L], np.intp), np.array(level, np.intp)
 
     facts = AnalyticFacts(
         is_tree=False,
@@ -277,8 +296,9 @@ def _make_triangle_ladder(spec: FamilySpec) -> GraphFamily:
 
 
 def _make_twin_rays(spec: FamilySpec) -> GraphFamily:
-    def ball_at(L: int) -> tuple[WeightedGraph, frozenset]:
+    def ball_at(L: int) -> tuple[WeightedGraph, np.ndarray, np.ndarray]:
         vertices: list[str] = []
+        level: list[int] = []
         ii: list[int] = []
         jj: list[int] = []
         w: list[float] = []
@@ -287,6 +307,7 @@ def _make_twin_rays(spec: FamilySpec) -> GraphFamily:
             # joined to the connectors after them, and the rails to level n-1
             s = len(vertices)
             vertices += _labels(f"{n}:", range(n + 2))
+            level += [n] * (n + 2)
             ii += [s] * (n + 1) + [s + 1] * n
             jj += [*range(s + 1, s + n + 2), *range(s + 2, s + n + 2)]
             w += [1.0] * (2 * n + 1)
@@ -296,7 +317,7 @@ def _make_twin_rays(spec: FamilySpec) -> GraphFamily:
                 w += [2.0 ** (n - 1)] * 2
             rail = s
         graph = WeightedGraph(vertices, ii, jj, w)
-        return graph, frozenset({f"{L}:0", f"{L}:1"})
+        return graph, np.array([rail, rail + 1], np.intp), np.array(level, np.intp)
 
     facts = AnalyticFacts(
         is_tree=False,
@@ -323,12 +344,14 @@ def _make_finite_path(spec: FamilySpec) -> GraphFamily:
     if not isinstance(weights, (tuple, list)) or len(weights) != length:
         raise FamilyError("finite_path needs a sequence of one weight per edge")
 
-    def ball_at(n: int) -> tuple[WeightedGraph, frozenset]:
+    def ball_at(n: int) -> tuple[WeightedGraph, np.ndarray, np.ndarray]:
+        # vertex k enters at level k
         top = min(n, length)
         ii = np.arange(top)
         w = [float(weights[k]) for k in range(top)]
         graph = WeightedGraph(map(str, range(top + 1)), ii, ii + 1, w)
-        return graph, frozenset() if top == length else frozenset({str(top)})
+        frontier_at = np.array([top] if top < length else [], np.intp)
+        return graph, frontier_at, np.arange(top + 1)
 
     facts = AnalyticFacts(
         is_tree=True,
@@ -403,23 +426,29 @@ def _make_star_augmented(spec: FamilySpec) -> GraphFamily:
             raise FamilyError("star_augmented expects a FamilySpec parameter")
     base = make(base_spec)
 
-    def ball_at(n: int) -> tuple[WeightedGraph, frozenset]:
+    def ball_at(n: int) -> tuple[WeightedGraph, np.ndarray, np.ndarray]:
         inner = base.build_ball(n)
         g = inner.graph
-        members, _ = hop_ball(g, base.origin, 1)
-        # attach geometric weights to every vertex at hop distance >= 2,
-        # in vertex order so levels stay consistent
-        far = np.array([k for k, v in enumerate(g.vertices) if v not in members], np.intp)
-        hub = np.full(far.size, g.index[base.origin], np.intp)
         ii, jj, w = g.edge_arrays
+        hub = g.vertices.index(base.origin)
+        # attach geometric weights to every vertex at hop distance >= 2, by
+        # entry level and then vertex order, so that a vertex keeps its
+        # weight in every larger ball
+        near = np.zeros(g.size, bool)
+        near[hub] = near[jj[ii == hub]] = near[ii[jj == hub]] = True
+        far = np.flatnonzero(~near)
+        far = far[np.argsort(inner.level[far], kind="stable")]
         star = [2.0 ** (-i) for i in range(far.size)]
         graph = WeightedGraph(
-            g.vertices, np.concatenate([ii, hub]), np.concatenate([jj, far]),
-            np.concatenate([w, star]), g.killing_array,
+            g.vertices, np.concatenate([ii, np.full(far.size, hub, np.intp)]),
+            np.concatenate([jj, far]), np.concatenate([w, star]), g.killing_array,
         )
-        # the hub keeps acquiring edges at every level, so it never leaves
-        # the frontier
-        return graph, inner.frontier | {base.origin}
+        # the hub acquires edges at every level that adds vertices, so it
+        # stays in the frontier while the base's frontier is nonempty
+        frontier_at = inner.frontier_at
+        if frontier_at.size:
+            frontier_at = np.union1d(frontier_at, [hub])
+        return graph, frontier_at, inner.level
 
     base_certs = base.facts.certified_conditions if base.facts else {}
     if not all(v for v, _ in base_certs.values()):
@@ -485,7 +514,7 @@ def add_killing(fam: GraphFamily, c_fn: Callable[[Vertex], float], name: str | N
                 [f"killing term at {v!r} must be finite and nonnegative, got {c!r}" for v, c in bad]
             )
         graph = WeightedGraph(g.vertices, *g.edge_arrays, killing)
-        return Ball(graph, b.frontier, b.measure)
+        return Ball(graph, b.frontier, lambda: b.measure, b.level, b.frontier_at)
 
     return GraphFamily(
         name=name or f"{fam.name}+killing",
@@ -493,6 +522,7 @@ def add_killing(fam: GraphFamily, c_fn: Callable[[Vertex], float], name: str | N
         build_ball=build,
         facts=None,
         spine=fam.spine,
+        reach=fam.reach,
     )
 
 

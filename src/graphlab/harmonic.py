@@ -13,7 +13,7 @@ recurrence, a positive limit of transience.
 from __future__ import annotations
 
 import cmath
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .core import (
@@ -128,8 +128,13 @@ def capacity_to_set(g: WeightedGraph, o: Vertex, targets: Sequence[Vertex]) -> f
         raise ValidationError([f"vertex {v!r} not in graph" for v in unknown])
     if o in targets:
         raise ValidationError([f"origin {o!r} lies in the ground set"])
-    held = dict.fromkeys((g.index[v] for v in targets), 0.0)
-    held[g.index[o]] = 1.0
+    return _grounded(g, g.index[o], [g.index[v] for v in targets])
+
+
+def _grounded(g: WeightedGraph, o: int, targets: Iterable[int]) -> float:
+    """``capacity_to_set`` by vertex positions."""
+    held = dict.fromkeys(targets, 0.0)
+    held[o] = 1.0
     return float(eliminate(g, held).grounding[0])
 
 
@@ -176,13 +181,14 @@ def capacity(
     def grounded(n: int, b: Ball) -> float | None:
         # a ball that misses the origin, or holds it in its frontier, does
         # not separate the origin from the rest
-        if not (inside := o in b.graph.index) or o in b.frontier:
+        vs = b.graph.vertices
+        if not (inside := o in vs) or o in b.frontier:
             if n == ladder[-1] and not gave:
                 where = "stays in the frontier at every level" if inside else "is in no ball of the ladder"
                 raise ValidationError([f"{fam.name}: the origin {o!r} {where}, so no capacity grounds it"])
             return None
         gave.append(n)
-        return capacity_to_set(b.graph, o, list(b.frontier)) if b.frontier else 0.0
+        return _grounded(b.graph, vs.index(o), b.frontier_at.tolist()) if b.frontier else 0.0
 
     used, report = climb(fam, ladder, grounded, tolerance, trend=-1)
     verdict = _classify_limit(report, CAPACITY_THRESHOLD, "recurrent", "transient")

@@ -177,6 +177,29 @@ def test_consistency_refuses_killing_terms_that_change_with_the_level():
         check_family_consistency(broken, [0, 1])
 
 
+@pytest.mark.parametrize("part", ["vertices", "edges"])
+def test_consistency_refuses_a_ball_out_of_the_next_ball_order(part):
+    comb = make(FamilySpec("comb"))
+
+    def build_ball(n: int) -> Ball:
+        b = comb.build_ball(n)
+        if n != 2:
+            return b
+        g = b.graph
+        ii, jj, w = g.edge_arrays
+        if part == "vertices":
+            # the same labelled edges over the vertices in reverse order
+            top = g.size - 1
+            g = WeightedGraph(g.vertices[::-1], top - ii, top - jj, w)
+        else:
+            g = WeightedGraph(g.vertices, ii[::-1], jj[::-1], w[::-1])
+        return Ball(g, b.frontier, b.measure)
+
+    with pytest.raises(ValidationError, match="ball 2 is not ball 3 restricted to its vertices "
+                                              "in ball 3's vertex and edge order"):
+        check_family_consistency(_broken(comb, build_ball), [2, 3])
+
+
 def test_frontier_matches_next_level():
     for spec in [
         FamilySpec("comb"),

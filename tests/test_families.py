@@ -7,6 +7,7 @@ import pytest
 
 from graphlab.core import WeightedGraph
 from graphlab.errors import FamilyError, ValidationError
+from graphlab.exhaustion import check_family_consistency
 from graphlab.families import (
     FamilySpec,
     add_killing,
@@ -16,7 +17,7 @@ from graphlab.families import (
 )
 from graphlab.harmonic import capacity, default_level_ladder
 from graphlab.metrics import path_metric, verify_intrinsic
-from graphlab.resistance import resistance_finite
+from graphlab.resistance import free_resistance, resistance_finite
 
 from conftest import assert_close
 
@@ -278,6 +279,8 @@ STOCK_FAMILIES = (
     "triangle_ladder",
     "twin_rays",
     "star_augmented:ray_power:3",
+    "star_augmented:finite_tree:4:2",
+    "star_augmented:random_tree:7:200",
 )
 
 
@@ -329,3 +332,63 @@ def test_unit_ladder_builds_one_graph_per_level(monkeypatch):
     monkeypatch.setattr(WeightedGraph, "__init__", counting_init)
     capacity(fam, levels=levels)
     assert len(built) == len(levels)
+
+
+def _ball_record(b):
+    g = b.graph
+    arrays = [(a.dtype.str, a.tolist()) for a in (*g.edge_arrays, g.killing_array)]
+    return (g.vertices, arrays, b.frontier, sorted(b.frontier_at.tolist()), b.level.tolist(),
+            b.measure.values)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "top_first"])
+@pytest.mark.parametrize(
+    "text, rule",
+    [
+        (text, rule)
+        for text in STOCK_FAMILIES
+        for rule in ("unit", "canonical", "geometric:0.5")
+        if rule == "unit" or not text.startswith("star_augmented")
+    ],
+)
+def test_cut_balls_equal_balls_built_alone(text, rule, order):
+    # every ball but the largest is cut from a larger one; each must equal
+    # the ball a fresh family builds for that level alone, down to the
+    # dtypes, the frontier and the measure
+    levels = {"ascending": list(range(13)), "descending": list(range(12, -1, -1)),
+              "top_first": [12, *range(12)]}[order]
+    fam = _family(text, rule)
+    if order == "ascending":
+        fam.reach(12)  # as climb does before it walks a ladder upward
+    got = {n: _ball_record(fam.build_ball(n)) for n in levels}
+    for n in levels:
+        assert got[n] == _ball_record(_family(text, rule).build_ball(n)), n
+
+
+def test_star_over_a_finite_base_leaves_the_frontier_with_the_base():
+    # finite_tree:4:2 is exhausted at level 4: from there the hub gains no
+    # edge, its frontier is empty and the capacity of the whole graph is 0
+    fam = make(parse_family_spec("star_augmented:finite_tree:4:2"))
+    check_family_consistency(fam, range(8))
+    assert [bool(fam.build_ball(n).frontier) for n in range(6)] == [True] * 4 + [False] * 2
+    seq = capacity(fam, levels=default_level_ladder(8))
+    assert seq.levels == (4, 5, 6, 7, 8) and seq.values == (0.0,) * 5
+
+
+def test_a_climb_that_stops_builds_no_ball_above_its_stop(monkeypatch):
+    sizes = []
+    init = WeightedGraph.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sizes.append(self.size)
+
+    fam = make(FamilySpec("ray_power", (3.0,)))
+    monkeypatch.setattr(WeightedGraph, "__init__", recording_init)
+    res = free_resistance(fam, "1", "2", max_level=64)
+    # the walk starts at level 1, where both vertices are first held, and
+    # stops at the first converged level; ray ball n has n + 1 vertices
+    stop = len(res.report.values)
+    assert stop < 64
+    assert fam.build_ball.cache_info().misses == stop + 1
+    assert max(sizes) == stop + 1
