@@ -26,17 +26,20 @@ Every linear solve of the package reads one routine: ``eliminate``
 records a star–mesh elimination in edge form, with the killing term and
 the vertices held at 0 as one heart terminal and the vertices held at
 each nonzero value as one terminal, whose pivots are sums of positive
-weights, so no digit cancels.  It runs in three phases: rounds, each
+weights, so no digit cancels.  Every graph, whatever its size, takes the
+same route: the edges sorted by key, then three phases: rounds, each
 removing an independent set of vertices of degree at most two in one
 numpy step, while a round removes ``ROUND_MIN`` or more; then a
 stack/heap loop, one pivot at a time; then a dense block for what fill
-has made dense.  ``GroundedFactor`` solves by substitution over that
-record, a round per numpy expression; the all-pairs resistance table
-and capacities read it too.  ``_sweep`` is the one reverse sweep that
-reads an elimination record, flattened, into an all-pairs table,
-written by vertex in place: the resistance table from this one, the
-path-metric table from the (min, +) one in ``metrics``, which takes the
-same rounds and pivot order.
+has made dense.  Each vertex's neighbours start in ascending order, so
+a record depends on the vertex order and the edge set, not on the order
+or orientation in which the edges are listed.  ``GroundedFactor`` solves by
+substitution over that record, a round per numpy expression; the
+all-pairs resistance table and capacities read it too.  ``_sweep`` is
+the one reverse sweep that reads an elimination record, flattened, into
+an all-pairs table, written by vertex in place: the resistance table
+from this one, the path-metric table from the (min, +) one in
+``metrics``, which takes the same route.
 """
 
 from __future__ import annotations
@@ -402,11 +405,12 @@ def quadratic_form_matrix(g: WeightedGraph) -> np.ndarray:
 
 
 #: A round must remove at least this many vertices: the rounds stop at the
-#: first that would remove fewer, and a graph with fewer vertices to
-#: eliminate never enters them.  On ladder balls of 10^3 vertices a round
-#: (some 60 numpy calls) took about 70 µs and the scalar loop about 1.1 µs
-#: per pivot, so a round pays from about 64 vertices (2-core host); 32 and
-#: 128 gave ladder eliminations within 6% of it.
+#: first that would remove fewer, and a graph with fewer free vertices
+#: tries none, going to the scalar loop on the same sorted edges.  On
+#: ladder balls of 10^3 vertices a round (some 60 numpy calls) took about
+#: 70 µs and the scalar loop about 1.1 µs per pivot, so a round pays from
+#: about 64 vertices (2-core host); 32 and 128 gave ladder eliminations
+#: within 6% of it.
 ROUND_MIN = 64
 
 
@@ -448,10 +452,10 @@ class Elimination:
     stars: list[dict[int, float]] = field(repr=False)
     pivots: list[float] = field(repr=False)
     grounding: np.ndarray
-    rounds: tuple[Round, ...] = field(default=(), repr=False)
-    by_rounds: int = 0
-    by_loop: int = 0
-    by_block: int = 0
+    rounds: tuple[Round, ...] = field(repr=False)
+    by_rounds: int
+    by_loop: int
+    by_block: int
 
     @property
     def n_rounds(self) -> int:
@@ -518,11 +522,13 @@ def _rounds(n: int, key: np.ndarray, w: np.ndarray, free: np.ndarray, kill: np.n
     entries, the last False) is updated in place.  Returns the rounds,
     the floating roots, and the edges left as ``key``, ``w``.
     """
+    rounds: list[Round] = []
+    roots: list[int] = []
+    if np.count_nonzero(free) < ROUND_MIN:
+        return rounds, roots, key, w
     merge = np.minimum if kill is None else np.add
     tie = _priority(n + 1)
     index = np.arange(n + 1)
-    rounds: list[Round] = []
-    roots: list[int] = []
     while True:
         ii, jj = key >> 32, key & _LOW
         deg = np.bincount(ii, minlength=n + 1) + np.bincount(jj, minlength=n + 1)
@@ -572,20 +578,13 @@ def _rounds(n: int, key: np.ndarray, w: np.ndarray, free: np.ndarray, kill: np.n
             rounds.append(Round(u, a, wa, b, wb, kappa, d))
 
 
-def _adjacency(m: int, ii: np.ndarray, jj: np.ndarray, w: np.ndarray) -> list[dict[int, float]]:
-    """``adj[i]`` maps vertex i's neighbours to their weights, in edge order."""
-    adj: list[dict[int, float]] = [{} for _ in range(m)]
-    for i, j, x in zip(ii.tolist(), jj.tolist(), w.tolist()):
-        adj[i][j] = adj[j][i] = x
-    return adj
-
-
 def _remainder(n: int, key: np.ndarray, w: np.ndarray, free: np.ndarray) -> tuple[list[int], list]:
     """The graph the rounds leave, for the scalar loop: its vertices (the
     free ones and the terminals that still have an edge to one, ascending)
-    and the adjacency list, which holds a dict at each of them only.  An
-    edge between two vertices that are not free drops out, as the scalar
-    loop drops it."""
+    and the adjacency list, which holds a dict at each of them only, its
+    neighbours ascending as the sorted keys give them.  An edge between
+    two vertices that are not free drops out, as the scalar loop drops
+    it."""
     ii, jj = key >> 32, key & _LOW
     if not (live := free[ii] | free[jj]).all():
         ii, jj, w = ii[live], jj[live], w[live]
@@ -632,17 +631,17 @@ class _PivotOrder:
     fill has made the rest dense: iteration stops, and ``rest`` lists the
     vertices left by (degree, index), to go as one numpy block.
 
-    ``adj[i]`` maps vertex i's neighbours to their weights or lengths, for
-    each i of ``verts`` (all by default); the held vertices come ``done``,
-    and no list holds the heart, so neither is yielded.  Each pivot is
-    yielded marked done.  The caller updates its neighbours, and puts each
-    on ``stack`` if its degree is then at most two, else into ``moved``,
-    which feeds the heap once the stack runs dry.
+    ``adj`` and ``verts`` are ``_remainder``'s: ``adj[i]`` maps vertex i's
+    neighbours, ascending, to their weights or lengths, for each i of
+    ``verts``; the held vertices come ``done``, and no list holds the
+    heart, so neither is yielded.  Each pivot is yielded marked done.  The
+    caller updates its neighbours, and puts each on ``stack`` if its degree
+    is then at most two, else into ``moved``, which feeds the heap once the
+    stack runs dry.
     """
 
-    def __init__(self, adj: list[dict[int, float]], done: list[bool], verts: Sequence[int] | None = None):
-        self.adj, self.done, self.moved, self.rest = adj, done, set(), []
-        self.verts = range(len(adj)) if verts is None else verts
+    def __init__(self, adj: list[dict[int, float]], done: list[bool], verts: Sequence[int]):
+        self.adj, self.done, self.verts, self.moved, self.rest = adj, done, verts, set(), []
         self.stack = [i for i in reversed(self.verts) if not done[i] and len(adj[i]) <= 2]
 
     def __iter__(self) -> Iterator[int]:
@@ -709,30 +708,36 @@ def _sweep(
     return T[:n, :n]
 
 
-def _fold(n: int, edges: tuple[np.ndarray, ...], c: np.ndarray, held: Mapping[int, float]):
-    """``eliminate``'s fold of the held vertices on edge arrays.  Returns
-    the killing term (n + 1 entries, the last a scratch slot), the
-    terminal of each nonzero value, and the edges left as
-    ``_sorted_edges``."""
+def _fold(
+    n: int,
+    edges: tuple[np.ndarray, ...],
+    c: np.ndarray,
+    held: Mapping[int, float],
+    free: np.ndarray,
+):
+    """``eliminate``'s fold of the held vertices on edge arrays (``free``
+    is False at them and at the heart n).  Returns the killing term (n + 1
+    entries, the last a scratch slot), the terminal of each nonzero value,
+    and the edges left as ``_sorted_edges``."""
     ii, jj, w = edges
     kill = np.append(c, 0.0)
     first: dict[float, int] = {}
     into = np.arange(n + 1)
-    for t in sorted(held):
-        into[t] = first.setdefault(held[t], t) if held[t] else n
-    gone = np.flatnonzero(into[:n] != np.arange(n))
+    ts = sorted(held)
+    to = [first.setdefault(held[t], t) if held[t] else n for t in ts]
+    into[ts] = to
+    gone = [t for t, v in zip(ts, to) if v != t]
     np.add.at(kill, into[gone], kill[gone])
     kill[gone] = 0.0
     a, b = into[ii], into[jj]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     # an edge to the heart is killing term at its other end; edges between
     # terminals drop out, and a free vertex's edges to one terminal merge
-    hot = (a == n) | (b == n)
-    np.add.at(kill, a[hot] + b[hot] - n, w[hot])
+    hot = hi == n
+    np.add.at(kill, lo[hot], w[hot])
     kill[n] = 0.0
-    tied = np.zeros(n + 1, bool)
-    tied[list(held)] = tied[n] = True
-    keep = (np.maximum(a, b) < n) & ~(tied[a] & tied[b])
-    return kill, first, _sorted_edges(_edge_key(a[keep], b[keep]), w[keep], np.add)
+    keep = (hi < n) & (free[lo] | free[hi])
+    return kill, first, _sorted_edges(lo[keep] << 32 | hi[keep], w[keep], np.add)
 
 
 def _star_mesh(
@@ -740,7 +745,7 @@ def _star_mesh(
     kill: list[float],
     done: list[bool],
     terminals: list[int],
-    verts: Sequence[int] | None = None,
+    verts: Sequence[int],
 ):
     """The scalar elimination of ``adj`` over ``verts`` (the heart is
     index len(adj)) in ``_PivotOrder``'s order, the dense rest as one
@@ -852,47 +857,19 @@ def eliminate(
     an edge of weight w_a w_b / d (an edge to the heart is killing term):
     sums and products of positives only, so no digit cancels (GTH
     elimination: Grassmann, Taksar & Heyman, Oper. Res. 33, 1985).  The
-    vertices go in ``_rounds`` while a round removes ``ROUND_MIN``, then
-    in ``_PivotOrder``'s order, the dense rest as one block.  A graph with
-    fewer than ``ROUND_MIN`` vertices to eliminate goes to the scalar loop
-    directly, folded in dicts.
+    held vertices fold on the edge arrays (``_fold``); then, on graphs of
+    every size, the vertices go in ``_rounds`` while a round removes
+    ``ROUND_MIN``, then in ``_PivotOrder``'s order, the dense rest as one
+    block.  Each vertex's neighbours start in ascending order, as the
+    sorted edge keys give them, so the record does not depend on the order
+    of ``g``'s edge arrays.
     """
     n = g.size
     c = g.killing_array if potential is None else g.killing_array + potential
-    if n - len(held) < ROUND_MIN:
-        kill = c.tolist()
-        adj = _adjacency(n, *g.edge_arrays)
-        done = [False] * n
-        # the first vertex held at each nonzero value is the terminal of all
-        # held at it; each other held vertex folds into its terminal, or into
-        # the heart n if held at 0, its edges and killing term moving along
-        first: dict[float, int] = {}
-        for t in sorted(held):
-            done[t] = True
-            v = first.setdefault(held[t], t) if held[t] else n
-            if v == t:
-                continue
-            if v < n:
-                kill[v] += kill[t]
-            kill[t] = 0.0
-            for a, w in adj[t].items():
-                near = adj[a]
-                del near[t]
-                if v == n:
-                    kill[a] += w
-                elif a != v:
-                    near[v] = adj[v][a] = near.get(v, 0.0) + w
-        terminals: list[int] = ([n] if any(kill) else []) + list(first.values())
-        order, stars, pivots, by_loop, by_block = _star_mesh(adj, kill, done, terminals)
-        grounding = [kill[t] for t in first.values()]
-        return Elimination(
-            np.array(order, dtype=np.intp), np.array(terminals, dtype=np.intp),
-            stars, pivots, np.array(grounding, dtype=float), by_loop=by_loop, by_block=by_block,
-        )
-    kill, first, (key, w) = _fold(n, g.edge_arrays, c, held)
-    terminals = ([n] if kill.any() else []) + list(first.values())
     free = np.ones(n + 1, bool)
     free[list(held)] = free[n] = False
+    kill, first, (key, w) = _fold(n, g.edge_arrays, c, held, free)
+    terminals = ([n] if kill.any() else []) + list(first.values())
     rounds, roots, key, w = _rounds(n, key, w, free, kill)
     terminals += roots
     verts, adj = _remainder(n, key, w, free)

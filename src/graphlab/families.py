@@ -90,6 +90,11 @@ def _real(spec: FamilySpec, k: int, what: str, positive: bool = False,
 _BallAt = Callable[[int], tuple[WeightedGraph, np.ndarray, np.ndarray]]
 
 
+def _bad_weight(name: str, n: int, u: Vertex, v: Vertex, w: float) -> FamilyError:
+    return FamilyError(f"{name} ball {n}: edge ({u!r},{v!r}) has weight {w}, "
+                       "but family weights must be finite and positive")
+
+
 def _exhaustion(
     spec: FamilySpec,
     name: str,
@@ -130,8 +135,7 @@ def _exhaustion(
         vs = graph.vertices
         if bad := np.flatnonzero(~((0 < w) & (w < math.inf))).tolist():
             k = bad[0]
-            raise FamilyError(f"{name} ball {n}: edge ({vs[ii[k]]!r},{vs[jj[k]]!r}) has weight "
-                              f"{w[k]}, but family weights must be finite and positive")
+            raise _bad_weight(name, n, vs[ii[k]], vs[jj[k]], w[k])
         frontier = frozenset(map(vs.__getitem__, frontier_at.tolist()))
 
         def measure() -> Measure:
@@ -212,6 +216,8 @@ def _make_ray_power(spec: FamilySpec) -> GraphFamily:
 
 def _make_comb(spec: FamilySpec) -> GraphFamily:
     def ball_at(r: int) -> tuple[WeightedGraph, np.ndarray, np.ndarray]:
+        if r >= 1024:  # refused unbuilt: 2^1024 is past float range
+            raise _bad_weight("comb", r, "0:1023", "0:1024", math.inf)
         power = [2.0**k for k in range(r + 1)]
         vertices: list[str] = []
         level: list[int] = []
@@ -297,6 +303,8 @@ def _make_triangle_ladder(spec: FamilySpec) -> GraphFamily:
 
 def _make_twin_rays(spec: FamilySpec) -> GraphFamily:
     def ball_at(L: int) -> tuple[WeightedGraph, np.ndarray, np.ndarray]:
+        if L >= 1025:  # refused unbuilt: the rails into level L weigh 2^(L-1)
+            raise _bad_weight("twin_rays", L, "1024:0", "1025:0", math.inf)
         vertices: list[str] = []
         level: list[int] = []
         ii: list[int] = []

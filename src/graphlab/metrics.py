@@ -31,12 +31,10 @@ import math
 import numpy as np
 
 from .core import (
-    ROUND_MIN,
     Measure,
     Vertex,
     VertexFunction,
     WeightedGraph,
-    _adjacency,
     _edge_key,
     _PivotOrder,
     _remainder,
@@ -191,29 +189,24 @@ def _min_plus_table(n: int, ii: np.ndarray, jj: np.ndarray, lens: np.ndarray) ->
 
     Removing u joins each pair of its neighbours a, b by
     min(len(a, b), len(a, u) + len(u, b)), which keeps every distance
-    between the vertices left.  Graphs large enough take ``core._rounds``
-    first, as ``core.eliminate`` does (a series move adds the two lengths,
-    a parallel merge takes the minimum); then the order is
-    ``core._PivotOrder``'s, the dense rest as one numpy block.  A vertex
-    with no neighbours left is a terminal, one per component.  The reverse sweep (``core._sweep``)
-    then reads d(v, .) = min_a (len(v, a) + d(a, .)) over v's star at its
-    removal, whose members were all removed later, so their rows are
-    known: a shortest path from v leaves through one of them and never
-    comes back.  Lengths are only added, never subtracted.
+    between the vertices left.  Every graph takes the route of
+    ``core.eliminate``: the edges sorted by key, so each vertex's
+    neighbours start in ascending order whatever order the edges come in;
+    then ``core._rounds`` (a series move adds the two lengths, a parallel
+    merge takes the minimum), then ``core._PivotOrder``'s order, the dense
+    rest as one numpy block.  A vertex with no neighbours left is a terminal,
+    one per component.  The reverse sweep (``core._sweep``) then reads
+    d(v, .) = min_a (len(v, a) + d(a, .)) over v's star at its removal,
+    whose members were all removed later, so their rows are known: a
+    shortest path from v leaves through one of them and never comes back.
+    Lengths are only added, never subtracted.
     """
-    # the rounds first, on graphs large enough to fill one; the scalar
-    # loop then runs on what they leave
-    rounds: list = []
-    terminals: list[int] = []
-    if n < ROUND_MIN:
-        verts, adj, done = None, _adjacency(n, ii, jj, lens), [False] * n
-    else:
-        free = np.ones(n + 1, bool)
-        free[n] = False
-        key, lens = _sorted_edges(_edge_key(ii, jj), lens, np.minimum)
-        rounds, terminals, key, lens = _rounds(n, key, lens, free)
-        verts, adj = _remainder(n, key, lens, free)
-        done = (~free).tolist()
+    free = np.ones(n + 1, bool)
+    free[n] = False
+    key, lens = _sorted_edges(_edge_key(ii, jj), lens, np.minimum)
+    rounds, terminals, key, lens = _rounds(n, key, lens, free)
+    verts, adj = _remainder(n, key, lens, free)
+    done = (~free).tolist()
     # step k removed order[k]; stars[k] is its adjacency dict then, which
     # nothing touches once its vertex is gone
     order: list[int] = []

@@ -395,6 +395,13 @@ class TestExitCodes:
             (["capacity", "--family", "ray_power:-400", "--levels", "40"],
              "ray_power(-400) ball 8: edge ('7','8') has weight 0.0, "
              "but family weights must be finite and positive"),
+            # refused before a ball of half a million vertices is built
+            (["gen", "--family", "comb", "--levels", "1024"],
+             "comb ball 1024: edge ('0:1023','0:1024') has weight inf, "
+             "but family weights must be finite and positive"),
+            (["capacity", "--family", "twin_rays", "--levels", "1025"],
+             "twin_rays ball 1025: edge ('1024:0','1025:0') has weight inf, "
+             "but family weights must be finite and positive"),
             (["metric", "--length", "inverse_b_pow", "--power", "inf", "DOC"],
              "length exponent must be positive and finite"),
             (["capacity", "--family", "star_augmented"],
@@ -404,7 +411,8 @@ class TestExitCodes:
         ids=["dirichlet_nan", "dirichlet_inf", "capacity_nan", "capacity_inf", "diagnose_nan",
              "diagnose_zero", "origin_in_ground", "capacity_empty_ladder", "heat_overflow",
              "heat_probe_overflow", "unit_measure_param", "canonical_measure_param",
-             "family_weight_inf", "family_weight_zero", "length_exponent_inf",
+             "family_weight_inf", "family_weight_zero", "comb_weight_inf",
+             "twin_rays_weight_inf", "length_exponent_inf",
              "origin_in_every_frontier"],
     )
     @pytest.mark.filterwarnings("error")
