@@ -39,7 +39,10 @@ all-pairs resistance table and capacities read it too.  ``_sweep`` is
 the one reverse sweep that reads an elimination record, flattened, into
 an all-pairs table, written by vertex in place: the resistance table
 from this one, the path-metric table from the (min, +) one in
-``metrics``, which takes the same route.
+``metrics``, which takes the same route.  ``_reduce`` makes the same leaf
+and series moves (the rounds, then the scalar step) without a record,
+keeping the edges between the vertices that stay: ``harmonic.capacity``
+carries a graph reduced so from one ladder level to the next.
 """
 
 from __future__ import annotations
@@ -597,6 +600,81 @@ def _remainder(n: int, key: np.ndarray, w: np.ndarray, free: np.ndarray) -> tupl
     for i, j, x in zip(ii.tolist(), jj.tolist(), w.tolist()):
         adj[i][j] = adj[j][i] = x
     return verts, adj
+
+
+def _reduce(n: int, ii: np.ndarray, jj: np.ndarray, w: np.ndarray, kill: np.ndarray, free: np.ndarray):
+    """Remove ``free`` vertices of degree at most two by leaf and series
+    moves: ``_rounds``, then each free vertex of degree at most two they
+    leave, one at a time by the scalar step of ``_star_mesh`` (a vertex
+    whose degree falls to two there stays).  The graph has n vertices, the
+    killing term ``kill`` and the edges ``ii``, ``jj``, ``w``, no two
+    joining the same pair.  No record is kept, and the vertices not free
+    stay; unlike an elimination, a move keeps the edge it makes between
+    two of them.  Returns the graph left (its edges, no two joining the
+    same pair, and its killing term) over all n vertices, and the mask of
+    the vertices that stay.
+    """
+    stay = ~free
+    free = np.append(free, False)
+    kill = np.append(kill, 0.0)
+    _, _, key, w = _rounds(n, _edge_key(ii, jj), w, free, kill)
+    ii, jj = key >> 32, key & _LOW
+    pick = free & (np.bincount(ii, minlength=n + 1) + np.bincount(jj, minlength=n + 1) <= 2)
+    if pick.any():
+        # the picked vertices' edges go to adjacency dicts, read and kept
+        # at the picked ends only; a series move's edge between two
+        # vertices that stay is kept aside, to add in parallel to the others
+        near = pick[ii] | pick[jj]
+        li, lj, lw = ii[near].tolist(), jj[near].tolist(), w[near].tolist()
+        kl, picked, order = kill.tolist(), pick.tolist(), np.flatnonzero(pick).tolist()
+        adj: list = [None] * n
+        for u in order:
+            adj[u] = {}
+        for i, j, x in zip(li, lj, lw):
+            if picked[i]:
+                adj[i][j] = x
+            if picked[j]:
+                adj[j][i] = x
+        made: list[tuple[int, int, float]] = []
+        for u in order:
+            if not (star := adj[u]):
+                continue
+            kappa = kl[u]
+            if len(star) == 2:
+                # a series move: the neighbours are joined by w_a w_b / d
+                (a, wa), (b, wb) = star.items()
+                d = wa + wb + kappa
+                mesh = wa * wb / d
+                if kappa:
+                    kl[a] += wa * kappa / d
+                    kl[b] += wb * kappa / d
+                if picked[a]:
+                    there = adj[a]
+                    del there[u]
+                    there[b] = there.get(b, 0.0) + mesh
+                if picked[b]:
+                    there = adj[b]
+                    del there[u]
+                    there[a] = there.get(a, 0.0) + mesh
+                elif not picked[a]:
+                    made.append((a, b, mesh))
+            else:
+                # a leaf move
+                ((a, wa),) = star.items()
+                if kappa:
+                    kl[a] += wa * kappa / (wa + kappa)
+                if picked[a]:
+                    del adj[a][u]
+        kill = np.array(kl)
+        stay |= free[:n] & ~pick[:n]
+        key, w = key[~near], w[~near]
+        if made:
+            ma, mb, mw = zip(*made)
+            key, w = _sorted_edges(np.concatenate((key, _edge_key(np.array(ma), np.array(mb)))),
+                                   np.concatenate((w, mw)), np.add)
+    else:
+        stay |= free[:n]
+    return key >> 32, key & _LOW, w, kill[:n], stay
 
 
 def _steps(n: int, rounds: Sequence[Round], order: Sequence[int], stars: list[dict[int, float]]):

@@ -156,9 +156,15 @@ class Ball:
     which each vertex entered, in vertex order.  ``frontier_at`` holds the
     frontier's positions in the graph; when not given, the first read
     finds them from ``frontier``.
+
+    ``whole`` is the ball itself, or, for ball n made by ``part``, the
+    larger ball (with levels) whose vertices of level at most n it holds:
+    its graph, frontier, levels and frontier positions are cut from
+    ``whole`` (``cut_ball``) on the first read of any of them, so a caller
+    that reads ``whole`` and the levels there cuts nothing.
     """
 
-    __slots__ = ("graph", "frontier", "level", "_measure", "_frontier_at")
+    __slots__ = ("whole", "_n", "_graph", "_frontier", "_level", "_measure", "_frontier_at")
 
     def __init__(
         self,
@@ -168,8 +174,39 @@ class Ball:
         level: np.ndarray | None = None,
         frontier_at: np.ndarray | None = None,
     ):
-        self.graph, self.frontier, self.level = graph, frontier, level
+        self._graph, self._frontier, self._level = graph, frontier, level
         self._measure, self._frontier_at = measure, frontier_at
+        self.whole, self._n = self, None
+
+    @classmethod
+    def part(cls, whole: "Ball", n: int, measure: Measure | Callable[[], Measure] | None = None) -> "Ball":
+        """Ball ``n`` of ``whole``, a ball with levels, cut on first read."""
+        ball = cls(None, None, measure)
+        ball.whole, ball._n = whole, n
+        return ball
+
+    def _cut(self) -> None:
+        self._graph, self._frontier_at, self._level = cut_ball(self.whole.graph, self.whole.level, self._n)
+        vs = self._graph.vertices
+        self._frontier = frozenset(map(vs.__getitem__, self._frontier_at.tolist()))
+
+    @property
+    def graph(self) -> WeightedGraph:
+        if self._graph is None:
+            self._cut()
+        return self._graph
+
+    @property
+    def frontier(self) -> frozenset:
+        if self._graph is None:
+            self._cut()
+        return self._frontier
+
+    @property
+    def level(self) -> np.ndarray | None:
+        if self._graph is None:
+            self._cut()
+        return self._level
 
     @property
     def measure(self) -> Measure | None:
@@ -179,6 +216,8 @@ class Ball:
 
     @property
     def frontier_at(self) -> np.ndarray:
+        if self._graph is None:
+            self._cut()
         if self._frontier_at is None:
             at = self.graph.index
             self._frontier_at = np.array([at[v] for v in self.frontier], dtype=np.intp)
@@ -219,8 +258,8 @@ class GraphFamily:
     level ``n`` is exactly the set of level-``n`` vertices adjacent to new
     vertices at level ``n``+1.  A negative ``n`` raises ValidationError.
     ``reach(n)``, when given, builds ball ``n``'s graph ahead, unchecked,
-    so that every smaller ball is cut from it; ``climb`` calls it with the
-    top of a ladder that it walks to the end.
+    so that every smaller ball is its part (``Ball.part``); ``climb`` calls
+    it with the top of a ladder that it walks to the end.
     """
 
     name: str
@@ -279,9 +318,11 @@ def climb(fam: GraphFamily, levels: Iterable[int], value: Callable[[int, Ball], 
     (+1 nondecreasing, -1 nonincreasing) by more than 1e-10, or a value
     that is not finite, raises ConsistencyError; with ``stop`` the walk
     ends at the first converged level, and without it the family reaches
-    the top level first.  An empty ladder, or one where no level gave a
-    value, raises ValidationError.  Returns the levels that gave a value
-    and their report."""
+    the top level first, so that each ball of the walk is a part of the
+    top one (``Ball.whole``), cut only if ``value`` reads its graph:
+    ``capacity`` reads the top ball alone.  An empty ladder, or one where
+    no level gave a value, raises ValidationError.  Returns the levels that
+    gave a value and their report."""
     _require_tolerance(tolerance)
     if not (levels := sorted(set(levels))):
         raise ValidationError([f"{fam.name}: the level ladder is empty"])

@@ -5,11 +5,12 @@ positions of its frontier and the level at which each of its vertices
 entered, and the closed-form knowledge that finite computation cannot
 recover: diameter bounds, tail sums, separated sets, and per-condition
 compactness verdicts.  One builder, ``_exhaustion``, turns ``ball_at``
-into the family's ``build_ball``: it keeps only the largest graph built
-and cuts every smaller ball from it (ball ``m`` is ball ``n`` restricted
-to the vertices of level at most ``m``, in ball ``n``'s order), refuses
-negative levels and balls whose weights are not all finite and positive,
-and attaches the measure rule, whose measure is made when first read.
+into the family's ``build_ball``: it keeps only the largest ball built,
+and every smaller ball is its part, cut on first read (ball ``m`` is ball
+``n`` restricted to the vertices of level at most ``m``, in ball ``n``'s
+order); it refuses negative levels and balls whose weights are not all
+finite and positive, and attaches the measure rule, whose measure is made
+when first read.
 Balls are built as edge arrays (the ``WeightedGraph`` constructor), in a
 fixed vertex and edge order that fixes every pivot of an elimination
 downstream.  Vertex identifiers
@@ -23,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 import math
 
 import numpy as np
@@ -106,42 +107,50 @@ def _exhaustion(
     """A family whose ball ``n`` is ``ball_at(n)`` with the spec's measure.
 
     ``ball_at(n)`` gives ball ``n``'s graph, its frontier's positions and
-    its vertices' levels.  Only the largest graph built is kept, and every
-    smaller ball is cut from it; ball ``n``+1's graph is read only when the
-    measure rule needs it.  A ball with a weight that is not finite and
-    positive raises FamilyError naming one such edge; the check runs on
-    each ball as it is returned, so it names the first one asked for that
-    holds the edge.
+    its vertices' levels.  Only the largest ball built is kept, and every
+    smaller ball is its ``Ball.part``, cut on first read; ball ``n``+1's
+    graph is read only when the measure rule needs it.  A ball with a
+    weight that is not finite and positive raises FamilyError naming one
+    such edge.  The check reads the level at which each refused edge of
+    the largest ball enters, so it cuts nothing, and it names the first
+    ball asked for that holds the edge.
     """
     rule = _measure_rule(spec, origin)
-    largest, built = -1, None  # the largest level built, and ball_at's value there
+    # the largest level built, its ball, and its refused edges with the
+    # level at which each enters
+    largest, whole, refused = -1, None, None
 
     def reach(n: int) -> None:
-        nonlocal largest, built
+        nonlocal largest, whole, refused
         if n > largest:
-            built = ball_at(n)
+            graph, frontier_at, level = ball_at(n)
+            vs = graph.vertices
+            frontier = frozenset(map(vs.__getitem__, frontier_at.tolist()))
+            whole = Ball(graph, frontier, lambda: rule(graph, lambda: ball(n + 1).graph), level, frontier_at)
+            ii, jj, w = graph.edge_arrays
+            k = np.flatnonzero(~((0 < w) & (w < math.inf)))
+            refused = k, np.maximum(level[ii[k]], level[jj[k]])
             largest = n
 
-    def graph_at(n: int) -> tuple[WeightedGraph, np.ndarray, np.ndarray]:
+    def ball(n: int) -> Ball:
         reach(n)
-        return built if n == largest else cut_ball(built[0], built[2], n)
+        if n == largest:
+            return whole
+        part = Ball.part(whole, n, lambda: rule(part.graph, lambda: ball(n + 1).graph))
+        return part
 
     @lru_cache(maxsize=None)
     def build_ball(n: int) -> Ball:
         if n < 0:
             raise ValidationError([f"exhaustion level must be nonnegative, got {n}"])
-        graph, frontier_at, level = graph_at(n)
-        ii, jj, w = graph.edge_arrays
-        vs = graph.vertices
-        if bad := np.flatnonzero(~((0 < w) & (w < math.inf))).tolist():
-            k = bad[0]
-            raise _bad_weight(name, n, vs[ii[k]], vs[jj[k]], w[k])
-        frontier = frozenset(map(vs.__getitem__, frontier_at.tolist()))
-
-        def measure() -> Measure:
-            return rule(graph, lambda: graph_at(n + 1)[0])
-
-        return Ball(graph, frontier, measure, level, frontier_at)
+        b = ball(n)
+        k, enters = refused
+        if (here := k[enters <= n]).size:
+            g = b.whole.graph
+            ii, jj, w = g.edge_arrays
+            first = here[0]
+            raise _bad_weight(name, n, g.vertices[ii[first]], g.vertices[jj[first]], w[first])
+        return b
 
     return GraphFamily(name, origin, build_ball, facts, spine, reach)
 
@@ -218,32 +227,23 @@ def _make_comb(spec: FamilySpec) -> GraphFamily:
     def ball_at(r: int) -> tuple[WeightedGraph, np.ndarray, np.ndarray]:
         if r >= 1024:  # refused unbuilt: 2^1024 is past float range
             raise _bad_weight("comb", r, "0:1023", "0:1024", math.inf)
-        power = [2.0**k for k in range(r + 1)]
-        vertices: list[str] = []
-        level: list[int] = []
-        tips: list[int] = []
-        ii: list[int] = []
-        jj: list[int] = []
-        w: list[float] = []
-        for n in range(r + 1):
-            # tooth n is n:0 .. n:(r-n) from position s (n:k enters at level
-            # n+k), edge (n:(k-1), n:k) of weight 2^k, then the spine edge
-            # ((n-1):0, n:0) of weight 2^n
-            s = len(vertices)
-            vertices += _labels(f"{n}:", range(r + 1 - n))
-            level += range(n, r + 1)
-            tips.append(s + r - n)
-            ii += range(s, s + r - n)
-            jj += range(s + 1, s + r + 1 - n)
-            w += power[1 : r + 1 - n]
-            if n >= 1:
-                ii.append(spine)
-                jj.append(s)
-                w.append(power[n])
-            spine = s
+        # tooth n is n:0 .. n:(r-n) from position s_n (n:k enters at level
+        # n+k): its edges (n:(k-1), n:k) of weight 2^k, then the spine edge
+        # ((n-1):0, n:0) of weight 2^n
+        size = np.arange(r + 1, 0, -1)
+        start = np.cumsum(size) - size
+        tooth = np.repeat(np.arange(r + 1), size)
+        depth = np.arange(tooth.size) - start[tooth]
+        vertices = chain.from_iterable(_labels(f"{n}:", range(r + 1 - n)) for n in range(r + 1))
+        inner = np.flatnonzero(depth < r - tooth)
+        ends = np.cumsum(size - 1)[1:]
+        ii = np.insert(inner, ends, start[:-1])
+        jj = np.insert(inner + 1, ends, start[1:])
+        w = np.insert(np.ldexp(1.0, depth[inner] + 1), ends, np.ldexp(1.0, np.arange(1, r + 1)))
         graph = WeightedGraph(vertices, ii, jj, w)
+        tips, level = start + size - 1, tooth + depth
         # the tips n:(r-n) of the teeth and of the spine grow at level r+1
-        return graph, np.array(tips, np.intp), np.array(level, np.intp)
+        return graph, tips, level
 
     facts = AnalyticFacts(
         is_tree=True,
@@ -264,25 +264,20 @@ def _make_comb(spec: FamilySpec) -> GraphFamily:
 def _make_triangle_ladder(spec: FamilySpec) -> GraphFamily:
     def ball_at(L: int) -> tuple[WeightedGraph, np.ndarray, np.ndarray]:
         # spine vertex n sits at position n - 1 and enters at level n - 1,
-        # detour n:k at s + k - 1 and level n
-        vertices = list(map(str, range(1, L + 2)))
-        level = list(range(L + 1))
-        ii: list[int] = []
-        jj: list[int] = []
-        w: list[float] = []
-        for n in range(1, L + 1):
-            s = len(vertices)
-            vertices += _labels(f"{n}:", range(1, n + 1))
-            level += [n] * n
-            ii.append(n - 1)
-            jj.append(n)
-            w.append(n / 2.0)
-            detours = range(s, s + n)
-            ii += chain.from_iterable(zip(repeat(n - 1), detours))
-            jj += chain.from_iterable(zip(detours, repeat(n)))
-            w += [float(n)] * (2 * n)
+        # detour n:k after the spine and the detours of lower levels, at
+        # level n; level n's edges are the spine edge (n - 1, n) of weight
+        # n/2, then each detour's edges from n - 1 and to n, of weight n
+        n = np.arange(1, L + 1)
+        at = np.repeat(n, n)
+        detour = np.arange(L + 1, L + 1 + at.size)
+        vertices = chain(map(str, range(1, L + 2)), *(_labels(f"{m}:", range(1, m + 1)) for m in range(1, L + 1)))
+        level = np.concatenate((np.arange(L + 1), at))
+        starts = (n - 1) * n
+        ii = np.insert(np.column_stack((at - 1, detour)).ravel(), starts, n - 1)
+        jj = np.insert(np.column_stack((detour, at)).ravel(), starts, n)
+        w = np.insert(np.repeat(at, 2).astype(float), starts, n / 2.0)
         graph = WeightedGraph(vertices, ii, jj, w)
-        return graph, np.array([L], np.intp), np.array(level, np.intp)
+        return graph, np.array([L], np.intp), level
 
     facts = AnalyticFacts(
         is_tree=False,
@@ -509,20 +504,32 @@ def add_killing(fam: GraphFamily, c_fn: Callable[[Vertex], float], name: str | N
 
     Certificates of the base family do not transfer; the wrapped family
     carries no analytic facts.  A killing term that is not finite and
-    nonnegative raises ValidationError naming its vertex.
+    nonnegative raises ValidationError naming its vertex.  ``c_fn`` is read
+    once on each base ball's ``whole``, and the part of a base ball is the
+    part of the killed whole, so the wrapper cuts no ball either.
     """
+    @lru_cache(maxsize=1)
+    def killed(base: Ball) -> tuple[Ball, list[tuple[int, float]]]:
+        """The killed copy of the base whole last read, and the killing
+        terms refused on it, as (position, value)."""
+        g = base.graph
+        killing = [float(c_fn(v)) for v in g.vertices]
+        refused = [(k, c) for k, c in enumerate(killing) if not 0.0 <= c < math.inf]
+        graph = WeightedGraph(g.vertices, *g.edge_arrays, killing)
+        return Ball(graph, base.frontier, lambda: base.measure, base.level, base.frontier_at), refused
 
     @lru_cache(maxsize=None)
     def build(n: int) -> Ball:
         b = fam.build_ball(n)
-        g = b.graph
-        killing = [float(c_fn(v)) for v in g.vertices]
-        if bad := [(v, c) for v, c in zip(g.vertices, killing) if not 0.0 <= c < math.inf]:
+        whole, refused = killed(b.whole)
+        if b is not b.whole:
+            refused = [(k, c) for k, c in refused if whole.level[k] <= n]
+        if refused:
+            vs = whole.graph.vertices
             raise ValidationError(
-                [f"killing term at {v!r} must be finite and nonnegative, got {c!r}" for v, c in bad]
+                [f"killing term at {vs[k]!r} must be finite and nonnegative, got {c!r}" for k, c in refused]
             )
-        graph = WeightedGraph(g.vertices, *g.edge_arrays, killing)
-        return Ball(graph, b.frontier, lambda: b.measure, b.level, b.frontier_at)
+        return whole if b is b.whole else Ball.part(whole, n, lambda: b.measure)
 
     return GraphFamily(
         name=name or f"{fam.name}+killing",

@@ -16,11 +16,14 @@ import cmath
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     GroundedFactor,
     Vertex,
     VertexFunction,
     WeightedGraph,
+    _reduce,
     eliminate,
 )
 from .errors import SingularSystemError, ValidationError
@@ -159,6 +162,98 @@ def _classify_limit(report: ConvergenceReport, threshold: float,
 CAPACITY_THRESHOLD = 1e-2
 
 
+class _Carry:
+    """The capacities of the balls of ``whole``, a ball with levels, up a
+    ladder, each vertex removed once and no ball cut.
+
+    A graph R is carried from level to level.  At level n it gains the
+    shell: the vertices whose entry level lies in (the last level, n], and
+    the edges whose later end entered there.  ``core._reduce`` then removes
+    by leaf and series moves every vertex but the origin and those adjacent
+    to a later level (which no later level can touch), and the capacity is
+    the origin's weight to the heart in ``eliminate`` of R with the
+    frontier held at 0 and the origin at 1.  The frontier of level n is the
+    set of its vertices adjacent to one of level n + 1, and ``whole``'s own
+    at its top level.  R numbers its vertices in ``whole``'s order.
+    """
+
+    def __init__(self, whole: Ball, o: Vertex):
+        self.whole = whole
+        g, level = whole.graph, np.asarray(whole.level, np.intp)
+        ii, jj, _ = g.edge_arrays
+        self.top = top = int(level.max(initial=0))
+        self.origin = g.vertices.index(o) if o in g.vertices else None
+        # the vertices and the edges by entry level, and how many of each
+        # entered by level k; an edge enters with its later end
+        li, lj = level[ii], level[jj]
+        later = np.maximum(li, lj)
+        self.vertex_order = np.argsort(level, kind="stable")
+        self.vertices_by = np.cumsum(np.bincount(level, minlength=top + 1))
+        self.edge_order = np.argsort(later, kind="stable")
+        self.edges_by = np.cumsum(np.bincount(later, minlength=top + 1))
+        # level k's frontier, ascending: the earlier ends of the edges that
+        # enter at level k + 1
+        step = li != lj
+        rims = np.sort(later[step] * g.size + np.where(li < lj, ii, jj)[step])
+        first = np.ones(rims.size, bool)
+        first[1:] = rims[1:] != rims[:-1]
+        rims = rims[first]
+        self.rim, self.rims_by = rims % g.size, np.cumsum(np.bincount(rims // g.size, minlength=top + 1))
+        # the last level that adds a neighbour to each vertex
+        self.last = level.copy()
+        np.maximum.at(self.last, ii, lj)
+        np.maximum.at(self.last, jj, li)
+        # R after level ``reached``: its vertices (positions in whole,
+        # ascending), their killing term and its edges (positions in whole)
+        self.reached = -1
+        self.local = np.empty(g.size, np.intp)
+        self.verts = self.ii = self.jj = np.empty(0, np.intp)
+        self.kill = self.w = np.empty(0)
+
+    def origin_at(self, n: int) -> int | None:
+        """The origin's position in ``whole`` if ball n holds it, else None."""
+        if self.origin is not None and self.whole.level[self.origin] <= n:
+            return self.origin
+        return None
+
+    def _by(self, counts: np.ndarray, n: int) -> int:
+        """How many entered by level n, from a cumulative count."""
+        return int(counts[min(n, self.top)]) if n >= 0 else 0
+
+    def frontier(self, n: int) -> np.ndarray:
+        """Positions of level n's frontier in ``whole``."""
+        if n >= self.top:
+            return self.whole.frontier_at
+        return self.rim[self._by(self.rims_by, n):self._by(self.rims_by, n + 1)]
+
+    def capacity(self, n: int, frontier: np.ndarray) -> float:
+        """Ball n's capacity, n above every level reached so far, with
+        ``frontier`` (positions in ``whole``) grounded."""
+        g = self.whole.graph
+        ii, jj, w = g.edge_arrays
+        shell = self.vertex_order[self._by(self.vertices_by, self.reached):self._by(self.vertices_by, n)]
+        e = self.edge_order[self._by(self.edges_by, self.reached):self._by(self.edges_by, n)]
+        verts = np.concatenate((self.verts, shell))
+        order = np.argsort(verts, kind="stable")
+        verts = verts[order]
+        kill = np.concatenate((self.kill, g.killing_array[shell]))[order]
+        local = self.local
+        local[verts] = np.arange(verts.size)
+        free = self.last[verts] <= n
+        free[local[frontier]] = free[local[self.origin]] = False
+        ri, rj, rw, kill, stay = _reduce(
+            verts.size, local[np.concatenate((self.ii, ii[e]))], local[np.concatenate((self.jj, jj[e]))],
+            np.concatenate((self.w, w[e])), kill, free)
+        self.verts, self.kill = verts[stay], kill[stay]
+        self.ii, self.jj, self.w = verts[ri], verts[rj], rw
+        self.reached = n
+        at = np.cumsum(stay) - 1
+        held = dict.fromkeys(at[local[frontier]].tolist(), 0.0)
+        held[int(at[local[self.origin]])] = 1.0
+        rest = WeightedGraph(range(self.verts.size), at[ri], at[rj], rw, self.kill)
+        return float(eliminate(rest, held).grounding[0])
+
+
 def capacity(
     fam: GraphFamily,
     o: Vertex | None = None,
@@ -172,23 +267,35 @@ def capacity(
     the origin, or whose frontier holds it, gives no value; when no level
     gives one, ValidationError.  The sequence is nonincreasing; a
     converged limit at most ``CAPACITY_THRESHOLD`` reads as recurrent,
-    above it as transient.
+    above it as transient.  On balls with levels, ``_Carry`` walks the
+    ladder over the largest ball (``Ball.whole``) and cuts none; a ball
+    without levels is grounded alone.
     """
     o = fam.origin if o is None else o
     ladder = sorted(set(default_level_ladder(64) if levels is None else levels))
     gave = []
+    carry = None
 
     def grounded(n: int, b: Ball) -> float | None:
+        nonlocal carry
+        if alone := b.whole.level is None:
+            vs = b.graph.vertices
+            at, frontier = (vs.index(o) if o in vs else None), b.frontier_at
+        else:
+            if carry is None or carry.whole is not b.whole:
+                carry = _Carry(b.whole, o)
+            at, frontier = carry.origin_at(n), carry.frontier(n)
         # a ball that misses the origin, or holds it in its frontier, does
         # not separate the origin from the rest
-        vs = b.graph.vertices
-        if not (inside := o in vs) or o in b.frontier:
+        if at is None or at in frontier:
             if n == ladder[-1] and not gave:
-                where = "stays in the frontier at every level" if inside else "is in no ball of the ladder"
+                where = "stays in the frontier at every level" if at is not None else "is in no ball of the ladder"
                 raise ValidationError([f"{fam.name}: the origin {o!r} {where}, so no capacity grounds it"])
             return None
         gave.append(n)
-        return _grounded(b.graph, vs.index(o), b.frontier_at.tolist()) if b.frontier else 0.0
+        if not frontier.size:
+            return 0.0
+        return _grounded(b.graph, at, frontier.tolist()) if alone else carry.capacity(n, frontier)
 
     used, report = climb(fam, ladder, grounded, tolerance, trend=-1)
     verdict = _classify_limit(report, CAPACITY_THRESHOLD, "recurrent", "transient")
@@ -258,6 +365,12 @@ def constant_approximation_defect(
         # weight between the one terminal they make and the heart
         return float(eliminate(g, dict.fromkeys(outside, 1.0), m.as_array(g)).grounding.sum())
 
+    if fam.reach is not None and levels:
+        # the largest reference ball first (a measure rule may read the
+        # ball after it, as the canonical one does), so that every ball of
+        # the walk is cut from it, not built anew
+        top = max(levels)
+        fam.reach(max(REFERENCE_FACTOR * top, top + 1) + 1)
     used, report = climb(fam, levels, defect, tolerance)
     verdict = _classify_limit(report, DEFECT_THRESHOLD, "vanishing", "positive")
     return DefectSequence(used, report.values, report, verdict, DEFECT_THRESHOLD)

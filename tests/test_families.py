@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from graphlab import exhaustion, families
 from graphlab.core import WeightedGraph
 from graphlab.errors import FamilyError, ValidationError
 from graphlab.exhaustion import check_family_consistency
@@ -15,11 +16,11 @@ from graphlab.families import (
     parse_family_spec,
     witness_functions,
 )
-from graphlab.harmonic import capacity, default_level_ladder
+from graphlab.harmonic import _grounded, capacity, default_level_ladder
 from graphlab.metrics import path_metric, verify_intrinsic
 from graphlab.resistance import free_resistance, resistance_finite
 
-from conftest import assert_close
+from conftest import assert_close, exact_capacity
 
 
 class TestAnalyticFacts:
@@ -319,19 +320,98 @@ def test_negative_level_refused(text):
         add_killing(fam, lambda v: 1.0).build_ball(-1)
 
 
-def test_unit_ladder_builds_one_graph_per_level(monkeypatch):
-    built = []
-    init = WeightedGraph.__init__
+def test_a_capacity_ladder_builds_one_graph_and_cuts_none(monkeypatch):
+    # the ladder is carried over its top ball: the family builds that one
+    # graph, and no smaller ball is cut from it
+    built, cuts = [], []
+    ray_graph, cut = families._ray_graph, exhaustion.cut_ball
 
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
+    def counting_ray_graph(p, top):
+        built.append(top)
+        return ray_graph(p, top)
 
+    def counting_cut(*args):
+        cuts.append(args[2])
+        return cut(*args)
+
+    monkeypatch.setattr(families, "_ray_graph", counting_ray_graph)
+    monkeypatch.setattr(exhaustion, "cut_ball", counting_cut)
+    monkeypatch.setattr(families, "cut_ball", counting_cut)
     fam = make(FamilySpec("ray_power", (3.0,)))
-    levels = default_level_ladder(32)
-    monkeypatch.setattr(WeightedGraph, "__init__", counting_init)
-    capacity(fam, levels=levels)
-    assert len(built) == len(levels)
+    seq = capacity(fam, levels=default_level_ladder(32))
+    assert seq.levels == tuple(default_level_ladder(32))
+    assert built == [33] and cuts == []
+
+
+def _per_ball(fam, ladder):
+    """The capacity ladder ball by ball: each ball cut alone and grounded
+    by ``_grounded``, the levels whose ball separates the origin."""
+    levels, values = [], []
+    for n in sorted(set(ladder)):
+        b = fam.build_ball(n)
+        vs = b.graph.vertices
+        if fam.origin in vs and fam.origin not in b.frontier:
+            levels.append(n)
+            values.append(_grounded(b.graph, vs.index(fam.origin), b.frontier_at.tolist()) if b.frontier else 0.0)
+    return levels, values
+
+
+def _assert_same_ladder(seq, levels, values, rtol):
+    assert list(seq.levels) == levels
+    for n, got, want in zip(levels, seq.values, values):
+        assert abs(got - want) <= rtol * want, (n, got, want)
+
+
+@pytest.mark.parametrize("ladder", [range(0, 25), default_level_ladder(24), [3, 17]],
+                         ids=["every", "default", "sparse"])
+@pytest.mark.parametrize(
+    "text, rule",
+    [
+        (text, rule)
+        for text in STOCK_FAMILIES
+        for rule in ("unit", "canonical", "geometric:0.5")
+        if rule == "unit" or not text.startswith("star_augmented")
+    ],
+)
+def test_carried_ladder_equals_the_per_ball_one(text, rule, ladder):
+    levels, values = _per_ball(_family(text, rule), ladder)
+    if not levels:
+        # star_augmented:ray_power:3 holds its origin in every frontier
+        with pytest.raises(ValidationError, match="stays in the frontier at every level"):
+            capacity(_family(text, rule), levels=ladder)
+        return
+    _assert_same_ladder(capacity(_family(text, rule), levels=ladder), levels, values, 1e-13)
+
+
+@pytest.mark.parametrize("text", ["comb", "triangle_ladder", "twin_rays", "ray_power:3", "random_tree:3:20",
+                                  "star_augmented:finite_tree:4:2"])
+@pytest.mark.parametrize("ladder", [range(0, 9), [3, 7]], ids=["every", "sparse"])
+def test_carried_ladder_with_killing_term_is_exact(text, ladder):
+    # killing term 1/8 on every third vertex: the moves pass it on, and
+    # the capacities match exact rationals
+    def killed(fam):
+        return add_killing(fam, lambda v: 0.125 if sum(map(ord, v)) % 3 == 0 else 0.0)
+
+    seq = capacity(killed(_family(text)), levels=ladder)
+    ref = killed(_family(text))
+    levels, values = _per_ball(ref, ladder)
+    assert list(seq.levels) == levels
+    for n, got, alone in zip(levels, seq.values, values):
+        b = ref.build_ball(n)
+        # a ball with no frontier reads 0, as ball by ball
+        want = float(exact_capacity(b.graph, ref.origin, b.frontier)) if b.frontier else alone
+        assert abs(got - want) <= 1e-12 * want, (n, got, want)
+
+
+@pytest.mark.parametrize("first", [0, 5])
+def test_a_ladder_over_two_wholes_restarts_its_carry(first):
+    # the ball asked for first is the largest built then (ball 0 has no
+    # edge at all); the ladder's higher balls are cut from ball 11, so the
+    # carry starts over
+    fam = _family("comb")
+    fam.build_ball(first)
+    levels, values = _per_ball(_family("comb"), range(first, 12))
+    _assert_same_ladder(capacity(fam, levels=range(first, 12)), levels, values, 1e-13)
 
 
 def _ball_record(b):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from graphlab import families
 from graphlab.core import GroundedFactor, VertexFunction, WeightedGraph, eliminate, energy
 from graphlab.errors import SingularSystemError, ValidationError
 from graphlab.families import FamilySpec, add_killing, make
@@ -310,6 +311,23 @@ class TestValueClasses:
 
 
 class TestDefect:
+    def test_the_ladder_builds_one_graph(self, monkeypatch):
+        # level n reads ball 4n, whose canonical measure reads ball 4n + 1:
+        # the largest of these is built first, and every other ball is cut
+        # from it
+        built = []
+        ray_graph = families._ray_graph
+
+        def counting_ray_graph(p, top):
+            built.append(top)
+            return ray_graph(p, top)
+
+        monkeypatch.setattr(families, "_ray_graph", counting_ray_graph)
+        fam = make(FamilySpec("ray_power", (3.0,), "canonical"))
+        seq = constant_approximation_defect(fam, levels=range(1, 11))
+        assert seq.levels == tuple(range(1, 11))
+        assert built == [42]  # ball 41 of the ray: vertices 1..42
+
     def test_finite_graph_reaches_zero(self):
         fam = make(FamilySpec("finite_path", (4,), "geometric", 0.5))
         seq = constant_approximation_defect(fam, levels=[1, 2, 4, 6, 7, 8])
